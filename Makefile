@@ -1,4 +1,4 @@
-.PHONY: all build test check bench chaos fuzz adversary adversary-verifier-smoke adversary-collusion-smoke serve-bench resume-smoke shard-smoke serve-smoke serve-overload-smoke durable durable-smoke clean
+.PHONY: all build test check bench chaos fuzz adversary adversary-verifier-smoke adversary-collusion-smoke serve-bench resume-smoke shard-smoke serve-smoke serve-overload-smoke durable durable-smoke perf clean
 
 all: build
 
@@ -19,6 +19,21 @@ check: shard-smoke serve-smoke serve-overload-smoke adversary-verifier-smoke adv
 
 bench:
 	dune exec bench/main.exe
+
+# The perf record: one untraced 30-second benchmark run (seed 1) of each
+# gated workload, written to BENCH_<PR>.json as {"<workload>": <result>}.
+# A perf claim compares two such files measured on the same machine.
+PERF_WORKLOADS := translate no_transit_60
+perf:
+	@test -n "$(PR)" || { echo "usage: make perf PR=<n>" >&2; exit 2; }
+	mkdir -p .bench_out
+	for w in $(PERF_WORKLOADS); do \
+	  python3 vppbench/run.py --workload $$w --trace 0 --seed 1 --seconds 30 \
+	    > .bench_out/perf-$$w.out || exit 1; \
+	done
+	{ sep='{'; for w in $(PERF_WORKLOADS); do \
+	    printf '%s"%s": ' "$$sep" $$w; tail -n 1 .bench_out/perf-$$w.out; sep=', '; \
+	  done; echo '}'; } > BENCH_$(PR).json
 
 # The resilience acceptance gate: C1 (20 seeds x 4 fault schedules over
 # both VPP loops; fails on any uncaught exception, budget overrun, or

@@ -3,21 +3,49 @@ open Policy
 
 (* Parsing state: the configuration is assembled into mutable accumulators
    and frozen into a Config_ir.t at the end. A context tracks which block
-   ("interface", "router bgp", ...) indented lines belong to. *)
+   ("interface", "router bgp", ...) indented lines belong to.
 
-type rm_key = { rm_name : string; rm_seq : int }
+   Every accumulator is a list built by consing (so it is reversed until
+   [assemble]) or a hash table, and every line does O(1) work on them
+   outside the tokenizer: parsing is linear in the input size. Entries that
+   later lines edit (interfaces, neighbors, route-map stanzas, OSPF
+   interfaces) sit behind mutable cells, found through a table keyed the
+   way the IR identifies them. *)
+
+(* A route-map stanza while it is open; [matches] and [sets] reversed. *)
+type stanza = {
+  seq : int;
+  action : Action.t;
+  mutable matches : Route_map.match_cond list;
+  mutable sets : Route_map.set_action list;
+}
 
 type state = {
   mutable hostname : string;
-  mutable interfaces : Config_ir.interface list;  (* reversed *)
+  mutable interfaces : Config_ir.interface ref list;  (* reversed *)
+  iface_index : (Iface.t, Config_ir.interface ref) Hashtbl.t;
+      (* every cell for an interface name: a repeated [interface X] block
+         adds a second entry, and later lines edit both, as the IR keeps
+         them *)
   mutable pl_entries : (string * Prefix_list.entry) list;  (* reversed *)
   mutable cl_entries : (string * Community_list.entry) list;  (* reversed *)
   mutable al_entries : (string * As_path_list.entry) list;  (* reversed *)
-  mutable rm_entries : (rm_key * Route_map.entry) list;  (* reversed *)
-  mutable acl_entries : (string * Acl.entry) list;  (* in order *)
-  mutable statics : Config_ir.static_route list;  (* in order *)
+  mutable rm_stanzas : (string * stanza) list;  (* reversed, by first appearance *)
+  rm_seen : (string * int, unit) Hashtbl.t;  (* (name, seq) of every stanza *)
+  mutable acl_entries : (string * Acl.entry) list;  (* reversed *)
+  acl_counts : (string, int) Hashtbl.t;  (* entries so far per ACL, for [seq] *)
+  mutable statics : Config_ir.static_route list;  (* reversed *)
   mutable bgp : Config_ir.bgp option;
+      (* asn and router id only; its lists are the [bgp_*] fields *)
+  mutable bgp_networks : Prefix.t list;  (* reversed *)
+  mutable bgp_neighbors : Config_ir.neighbor ref list;  (* reversed *)
+  neighbor_index : (Ipv4.t, Config_ir.neighbor ref) Hashtbl.t;
+  mutable bgp_redistributions : Config_ir.redistribution list;  (* reversed *)
   mutable ospf : Config_ir.ospf option;
+      (* process id and router id only; its lists are the [ospf_*] fields *)
+  mutable ospf_networks : (Prefix.t * int) list;  (* reversed *)
+  ospf_interfaces : (Iface.t, Config_ir.ospf_interface) Hashtbl.t;
+  mutable ospf_redistributions : Config_ir.redistribution list;  (* reversed *)
   mutable ospf_costs : (Iface.t * int) list;  (* from interface blocks, reversed *)
   mutable diags : Diag.t list;  (* reversed *)
 }
@@ -27,21 +55,31 @@ type context =
   | In_interface of Iface.t
   | In_bgp
   | In_ospf
-  | In_route_map of rm_key
+  | In_route_map of stanza
   | In_acl of string
 
 let fresh () =
   {
     hostname = "router";
     interfaces = [];
+    iface_index = Hashtbl.create 16;
     pl_entries = [];
     cl_entries = [];
     al_entries = [];
-    rm_entries = [];
+    rm_stanzas = [];
+    rm_seen = Hashtbl.create 64;
     acl_entries = [];
+    acl_counts = Hashtbl.create 8;
     statics = [];
     bgp = None;
+    bgp_networks = [];
+    bgp_neighbors = [];
+    neighbor_index = Hashtbl.create 16;
+    bgp_redistributions = [];
     ospf = None;
+    ospf_networks = [];
+    ospf_interfaces = Hashtbl.create 8;
+    ospf_redistributions = [];
     ospf_costs = [];
     diags = [];
   }
@@ -65,27 +103,18 @@ let is_cli_keyword = function
 (* Field updates                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* A repeated [router bgp] / [router ospf] header re-enters the first
+   process. *)
 let ensure_bgp st asn =
-  match st.bgp with
-  | Some b -> b
-  | None ->
-      let b =
-        {
-          Config_ir.asn;
-          router_id = None;
-          networks = [];
-          neighbors = [];
-          redistributions = [];
-        }
-      in
-      st.bgp <- Some b;
-      b
+  if st.bgp = None then
+    st.bgp <-
+      Some
+        { Config_ir.asn; router_id = None; networks = []; neighbors = []; redistributions = [] }
 
 let ensure_ospf st pid =
-  match st.ospf with
-  | Some o -> o
-  | None ->
-      let o =
+  if st.ospf = None then
+    st.ospf <-
+      Some
         {
           Config_ir.process_id = pid;
           router_id = None;
@@ -93,28 +122,21 @@ let ensure_ospf st pid =
           interfaces = [];
           redistributions = [];
         }
-      in
-      st.ospf <- Some o;
-      o
 
 let update_bgp st f = match st.bgp with Some b -> st.bgp <- Some (f b) | None -> ()
 let update_ospf st f = match st.ospf with Some o -> st.ospf <- Some (f o) | None -> ()
 
-let update_neighbor st addr ~create f =
-  update_bgp st (fun b ->
-      match Config_ir.find_neighbor b addr with
-      | Some _ ->
-          {
-            b with
-            Config_ir.neighbors =
-              List.map
-                (fun (x : Config_ir.neighbor) -> if Ipv4.equal x.addr addr then f x else x)
-                b.neighbors;
-          }
-      | None ->
-          if create then
-            { b with Config_ir.neighbors = b.neighbors @ [ f (Config_ir.neighbor addr ~remote_as:(-1) ~send_community:false) ] }
-          else b)
+let update_interface st iface f =
+  List.iter (fun cell -> cell := f !cell) (Hashtbl.find_all st.iface_index iface)
+
+(* The first statement about a neighbor creates it, in first-mention order. *)
+let update_neighbor st addr f =
+  match Hashtbl.find_opt st.neighbor_index addr with
+  | Some cell -> cell := f !cell
+  | None ->
+      let cell = ref (f (Config_ir.neighbor addr ~remote_as:(-1) ~send_community:false)) in
+      Hashtbl.add st.neighbor_index addr cell;
+      st.bgp_neighbors <- cell :: st.bgp_neighbors
 
 (* ------------------------------------------------------------------ *)
 (* Line handlers                                                       *)
@@ -148,42 +170,21 @@ let parse_redistribute st ~line rest =
           None)
 
 let handle_interface_line st ~line iface toks =
+  let set f = update_interface st iface f in
   match toks with
   | [ "ip"; "address"; a; m ] -> (
       match (Ipv4.of_string a, Ipv4.of_string m) with
       | Some addr, Some mask -> (
           match Netmask.len_of_mask mask with
-          | Some len ->
-              st.interfaces <-
-                List.map
-                  (fun (i : Config_ir.interface) ->
-                    if Iface.equal i.iface iface then { i with Config_ir.address = Some (addr, len) }
-                    else i)
-                  st.interfaces
+          | Some len -> set (fun i -> { i with Config_ir.address = Some (addr, len) })
           | None -> err st ~line "'%s' is not a contiguous netmask" m)
       | _ -> err st ~line "malformed ip address statement")
   | "description" :: rest ->
       let d = String.concat " " rest in
-      st.interfaces <-
-        List.map
-          (fun (i : Config_ir.interface) ->
-            if Iface.equal i.iface iface then { i with Config_ir.description = Some d } else i)
-          st.interfaces
-  | [ "shutdown" ] ->
-      st.interfaces <-
-        List.map
-          (fun (i : Config_ir.interface) ->
-            if Iface.equal i.iface iface then { i with Config_ir.shutdown = true } else i)
-          st.interfaces
+      set (fun i -> { i with Config_ir.description = Some d })
+  | [ "shutdown" ] -> set (fun i -> { i with Config_ir.shutdown = true })
   | [ "no"; "shutdown" ] -> ()
   | [ "ip"; "access-group"; name; dir ] -> (
-      let set f =
-        st.interfaces <-
-          List.map
-            (fun (i : Config_ir.interface) ->
-              if Iface.equal i.iface iface then f i else i)
-            st.interfaces
-      in
       match dir with
       | "in" -> set (fun i -> { i with Config_ir.acl_in = Some name })
       | "out" -> set (fun i -> { i with Config_ir.acl_out = Some name })
@@ -203,9 +204,7 @@ let handle_bgp_line st ~line toks =
       | None -> err st ~line "invalid router id '%s'" r)
   | [ "network"; a; "mask"; m ] -> (
       match (Ipv4.of_string a, Option.bind (Ipv4.of_string m) Netmask.len_of_mask) with
-      | Some addr, Some len ->
-          update_bgp st (fun b ->
-              { b with Config_ir.networks = b.networks @ [ Prefix.make addr len ] })
+      | Some addr, Some len -> st.bgp_networks <- Prefix.make addr len :: st.bgp_networks
       | _ -> err st ~line "malformed network statement")
   | [ "network"; a ] -> (
       match Ipv4.of_string a with
@@ -213,8 +212,7 @@ let handle_bgp_line st ~line toks =
           let len = Netmask.classful_len addr in
           warn st ~line
             "network statement without mask: assuming classful /%d for %s" len a;
-          update_bgp st (fun b ->
-              { b with Config_ir.networks = b.networks @ [ Prefix.make addr len ] })
+          st.bgp_networks <- Prefix.make addr len :: st.bgp_networks
       | None -> err st ~line "malformed network statement")
   | "neighbor" :: addr :: rest -> (
       match Ipv4.of_string addr with
@@ -224,59 +222,41 @@ let handle_bgp_line st ~line toks =
           | [ "remote-as"; asn ] -> (
               match int_of_string_opt asn with
               | Some asn when asn > 0 ->
-                  update_neighbor st addr ~create:true (fun n ->
-                      { n with Config_ir.remote_as = asn })
+                  update_neighbor st addr (fun n -> { n with Config_ir.remote_as = asn })
               | _ -> err st ~line "invalid remote AS number")
           | [ "local-as"; asn ] -> (
               match int_of_string_opt asn with
               | Some asn when asn > 0 ->
-                  update_neighbor st addr ~create:true (fun n ->
-                      { n with Config_ir.local_as = Some asn })
+                  update_neighbor st addr (fun n -> { n with Config_ir.local_as = Some asn })
               | _ -> err st ~line "invalid local AS number")
           | "description" :: d ->
-              update_neighbor st addr ~create:true (fun n ->
-                  { n with Config_ir.description = Some (String.concat " " d) })
+              let d = String.concat " " d in
+              update_neighbor st addr (fun n -> { n with Config_ir.description = Some d })
           | [ "send-community" ] ->
-              update_neighbor st addr ~create:true (fun n ->
-                  { n with Config_ir.send_community = true })
+              update_neighbor st addr (fun n -> { n with Config_ir.send_community = true })
           | [ "next-hop-self" ] ->
-              update_neighbor st addr ~create:true (fun n ->
-                  { n with Config_ir.next_hop_self = true })
+              update_neighbor st addr (fun n -> { n with Config_ir.next_hop_self = true })
           | [ "route-map"; name; "in" ] ->
-              update_neighbor st addr ~create:true (fun n ->
-                  { n with Config_ir.import_policy = Some name })
+              update_neighbor st addr (fun n -> { n with Config_ir.import_policy = Some name })
           | [ "route-map"; name; "out" ] ->
-              update_neighbor st addr ~create:true (fun n ->
-                  { n with Config_ir.export_policy = Some name })
+              update_neighbor st addr (fun n -> { n with Config_ir.export_policy = Some name })
           | _ ->
               err st ~line "unrecognized neighbor statement: '%s'" (String.concat " " rest)))
   | "redistribute" :: rest -> (
       match parse_redistribute st ~line rest with
-      | Some r ->
-          update_bgp st (fun b ->
-              { b with Config_ir.redistributions = b.redistributions @ [ r ] })
+      | Some r -> st.bgp_redistributions <- r :: st.bgp_redistributions
       | None -> ())
   | [ "no"; "auto-summary" ] | [ "no"; "synchronization" ] -> ()
   | _ -> err st ~line "unrecognized router bgp statement: '%s'" (String.concat " " toks)
 
+(* OSPF interfaces are keyed by name; [assemble] sorts them. *)
 let set_ospf_iface st iface f =
-  update_ospf st (fun o ->
-      let exists =
-        List.exists
-          (fun (oi : Config_ir.ospf_interface) -> Iface.equal oi.iface iface)
-          o.interfaces
-      in
-      let interfaces =
-        if exists then
-          List.map
-            (fun (oi : Config_ir.ospf_interface) ->
-              if Iface.equal oi.iface iface then f oi else oi)
-            o.interfaces
-        else
-          o.interfaces
-          @ [ f { Config_ir.iface; cost = None; passive = false; area = 0 } ]
-      in
-      { o with Config_ir.interfaces = interfaces })
+  let oi =
+    match Hashtbl.find_opt st.ospf_interfaces iface with
+    | Some oi -> oi
+    | None -> { Config_ir.iface; cost = None; passive = false; area = 0 }
+  in
+  Hashtbl.replace st.ospf_interfaces iface (f oi)
 
 let handle_ospf_line st ~line toks =
   match toks with
@@ -291,8 +271,7 @@ let handle_ospf_line st ~line toks =
           int_of_string_opt area )
       with
       | Some addr, Some len, Some area ->
-          update_ospf st (fun o ->
-              { o with Config_ir.networks = o.networks @ [ (Prefix.make addr len, area) ] })
+          st.ospf_networks <- (Prefix.make addr len, area) :: st.ospf_networks
       | _ -> err st ~line "malformed ospf network statement")
   | [ "passive-interface"; ifname ] -> (
       match Iface.of_cisco ifname with
@@ -300,27 +279,13 @@ let handle_ospf_line st ~line toks =
       | None -> err st ~line "unknown interface '%s'" ifname)
   | "redistribute" :: rest -> (
       match parse_redistribute st ~line rest with
-      | Some r ->
-          update_ospf st (fun o ->
-              { o with Config_ir.redistributions = o.redistributions @ [ r ] })
+      | Some r -> st.ospf_redistributions <- r :: st.ospf_redistributions
       | None -> ())
   | _ -> err st ~line "unrecognized router ospf statement: '%s'" (String.concat " " toks)
 
-let handle_route_map_line st ~line key toks =
-  let add_match m =
-    st.rm_entries <-
-      List.map
-        (fun (k, (e : Route_map.entry)) ->
-          if k = key then (k, { e with Route_map.matches = e.matches @ [ m ] }) else (k, e))
-        st.rm_entries
-  in
-  let add_set s =
-    st.rm_entries <-
-      List.map
-        (fun (k, (e : Route_map.entry)) ->
-          if k = key then (k, { e with Route_map.sets = e.sets @ [ s ] }) else (k, e))
-        st.rm_entries
-  in
+let handle_route_map_line st ~line stanza toks =
+  let add_match m = stanza.matches <- m :: stanza.matches in
+  let add_set s = stanza.sets <- s :: stanza.sets in
   match toks with
   | [ "match"; "ip"; "address"; "prefix-list"; name ] ->
       add_match (Route_map.Match_prefix_list name)
@@ -386,8 +351,7 @@ let handle_route_map_line st ~line key toks =
       | _, false -> err st ~line "invalid AS number in prepend"
       | _, true -> add_set (Route_map.Set_as_path_prepend (List.filter_map Fun.id parsed)))
   | _ ->
-      err st ~line "unrecognized route-map statement: '%s'" (String.concat " " toks);
-      ignore key
+      err st ~line "unrecognized route-map statement: '%s'" (String.concat " " toks)
 
 let parse_addr_spec st ~line toks =
   (* any | host A | A WILDCARD; returns the prefix and remaining tokens. *)
@@ -410,7 +374,11 @@ let parse_addr_spec st ~line toks =
       None
 
 let handle_acl_line st ~line name toks =
-  let add entry = st.acl_entries <- st.acl_entries @ [ (name, entry) ] in
+  let count = Option.value (Hashtbl.find_opt st.acl_counts name) ~default:0 in
+  let add entry =
+    Hashtbl.replace st.acl_counts name (count + 1);
+    st.acl_entries <- (name, entry) :: st.acl_entries
+  in
   match toks with
   | action :: proto :: rest -> (
       match Action.of_string action with
@@ -429,7 +397,7 @@ let handle_acl_line st ~line name toks =
                   match parse_addr_spec st ~line rest with
                   | None -> ()
                   | Some (dst, rest) -> (
-                      let seq = (List.length (List.filter (fun (n, _) -> n = name) st.acl_entries) + 1) * 10 in
+                      let seq = (count + 1) * 10 in
                       match rest with
                       | [] -> add (Acl.entry ~action ~proto ~src ~dst seq)
                       | [ "eq"; port ] -> (
@@ -540,7 +508,9 @@ let dispatch_top st ~line toks : context =
   | "interface" :: [ ifname ] -> (
       match Iface.of_cisco ifname with
       | Some iface ->
-          st.interfaces <- st.interfaces @ [ Config_ir.interface iface ];
+          let cell = ref (Config_ir.interface iface) in
+          Hashtbl.add st.iface_index iface cell;
+          st.interfaces <- cell :: st.interfaces;
           In_interface iface
       | None ->
           err st ~line "unknown interface name '%s'" ifname;
@@ -548,7 +518,7 @@ let dispatch_top st ~line toks : context =
   | [ "router"; "bgp"; asn ] -> (
       match int_of_string_opt asn with
       | Some asn when asn > 0 ->
-          ignore (ensure_bgp st asn);
+          ensure_bgp st asn;
           In_bgp
       | _ ->
           err st ~line "invalid BGP AS number '%s'" asn;
@@ -556,7 +526,7 @@ let dispatch_top st ~line toks : context =
   | [ "router"; "ospf"; pid ] -> (
       match int_of_string_opt pid with
       | Some pid when pid > 0 ->
-          ignore (ensure_ospf st pid);
+          ensure_ospf st pid;
           In_ospf
       | _ ->
           err st ~line "invalid OSPF process id '%s'" pid;
@@ -573,9 +543,7 @@ let dispatch_top st ~line toks : context =
            Ipv4.of_string nh )
        with
       | Some dest, Some len, Some next_hop ->
-          st.statics <-
-            st.statics
-            @ [ { Config_ir.destination = Prefix.make dest len; next_hop } ]
+          st.statics <- { Config_ir.destination = Prefix.make dest len; next_hop } :: st.statics
       | _ -> err st ~line "malformed ip route statement");
       Top
   | "ip" :: "prefix-list" :: rest ->
@@ -590,13 +558,14 @@ let dispatch_top st ~line toks : context =
   | [ "route-map"; name; action; seq ] -> (
       match (Action.of_string action, int_of_string_opt seq) with
       | Some action, Some seq ->
-          let key = { rm_name = name; rm_seq = seq } in
-          if List.mem_assoc key st.rm_entries then (
+          if Hashtbl.mem st.rm_seen (name, seq) then (
             err st ~line "duplicate route-map stanza %s %d" name seq;
             Top)
-          else (
-            st.rm_entries <- st.rm_entries @ [ (key, Route_map.entry ~action seq) ];
-            In_route_map key)
+          else
+            let stanza = { seq; action; matches = []; sets = [] } in
+            Hashtbl.add st.rm_seen (name, seq) ();
+            st.rm_stanzas <- (name, stanza) :: st.rm_stanzas;
+            In_route_map stanza
       | _ ->
           err st ~line "malformed route-map header";
           Top)
@@ -628,32 +597,38 @@ let dispatch_top st ~line toks : context =
 (* Assembly                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Groups [(name, entry)] pairs (in input order) by name, keeping names in
+   first-appearance order and each name's entries in input order. *)
 let group_by_name pairs =
-  (* Preserve first-appearance order of names and entry order per name. *)
+  let groups = Hashtbl.create 16 in
   let names =
     List.fold_left
-      (fun acc (n, _) -> if List.mem n acc then acc else acc @ [ n ])
+      (fun names (n, e) ->
+        match Hashtbl.find_opt groups n with
+        | Some entries ->
+            entries := e :: !entries;
+            names
+        | None ->
+            Hashtbl.add groups n (ref [ e ]);
+            n :: names)
       [] pairs
   in
-  List.map (fun n -> (n, List.filter_map (fun (m, e) -> if m = n then Some e else None) pairs)) names
+  List.rev_map (fun n -> (n, List.rev !(Hashtbl.find groups n))) names
 
 let assemble st =
-  let pl_pairs = List.rev st.pl_entries in
   let prefix_lists =
-    List.filter_map
+    List.map
       (fun (name, entries) ->
-        try Some (Prefix_list.make name entries)
+        try Prefix_list.make name entries
         with Invalid_argument _ ->
           warn st ~line:0 "prefix-list %s has duplicate sequence numbers" name;
-          let dedup =
-            List.fold_left
-              (fun acc (e : Prefix_list.entry) ->
-                if List.exists (fun (x : Prefix_list.entry) -> x.seq = e.seq) acc then acc
-                else acc @ [ e ])
-              [] entries
+          (* Keep the first entry for each sequence number. *)
+          let seen = Hashtbl.create 16 in
+          let first (e : Prefix_list.entry) =
+            (not (Hashtbl.mem seen e.seq)) && (Hashtbl.add seen e.seq (); true)
           in
-          Some (Prefix_list.make name dedup))
-      (group_by_name pl_pairs)
+          Prefix_list.make name (List.filter first entries))
+      (group_by_name (List.rev st.pl_entries))
   in
   let community_lists =
     List.map (fun (n, es) -> Community_list.make n es) (group_by_name (List.rev st.cl_entries))
@@ -661,21 +636,16 @@ let assemble st =
   let as_path_lists =
     List.map (fun (n, es) -> As_path_list.make n es) (group_by_name (List.rev st.al_entries))
   in
-  let rm_names =
-    List.fold_left
-      (fun acc (k, _) -> if List.mem k.rm_name acc then acc else acc @ [ k.rm_name ])
-      [] st.rm_entries
-  in
   let route_maps =
     List.map
-      (fun name ->
-        let entries =
-          List.filter_map
-            (fun (k, e) -> if k.rm_name = name then Some e else None)
-            st.rm_entries
-        in
-        Route_map.make name entries)
-      rm_names
+      (fun (name, stanzas) ->
+        Route_map.make name
+          (List.map
+             (fun s ->
+               Route_map.entry ~action:s.action ~matches:(List.rev s.matches)
+                 ~sets:(List.rev s.sets) s.seq)
+             stanzas))
+      (group_by_name (List.rev st.rm_stanzas))
   in
   (* Merge interface-level ospf costs into the ospf block. *)
   (match (st.ospf, List.rev st.ospf_costs) with
@@ -687,41 +657,50 @@ let assemble st =
         (fun (iface, cost) ->
           set_ospf_iface st iface (fun oi -> { oi with Config_ir.cost = Some cost }))
         costs);
+  let neighbors = List.rev_map ( ! ) st.bgp_neighbors in
   (* Neighbors created by a non-remote-as command first. *)
-  (match st.bgp with
-  | Some b ->
-      List.iter
-        (fun (n : Config_ir.neighbor) ->
-          if n.remote_as <= 0 then
-            warn st ~line:0 "neighbor %s has no remote-as configured" (Ipv4.to_string n.addr))
-        b.neighbors
-  | None -> ());
+  if Option.is_some st.bgp then
+    List.iter
+      (fun (n : Config_ir.neighbor) ->
+        if n.remote_as <= 0 then
+          warn st ~line:0 "neighbor %s has no remote-as configured" (Ipv4.to_string n.addr))
+      neighbors;
+  let bgp =
+    Option.map
+      (fun (b : Config_ir.bgp) ->
+        {
+          b with
+          Config_ir.networks = List.rev st.bgp_networks;
+          neighbors;
+          redistributions = List.rev st.bgp_redistributions;
+        })
+      st.bgp
+  in
   let ospf =
     Option.map
       (fun (o : Config_ir.ospf) ->
         {
           o with
-          Config_ir.interfaces =
-            List.sort
-              (fun (a : Config_ir.ospf_interface) (b : Config_ir.ospf_interface) ->
-                Iface.compare a.iface b.iface)
-              o.interfaces;
+          Config_ir.networks = List.rev st.ospf_networks;
+          interfaces =
+            Hashtbl.fold (fun _ oi acc -> oi :: acc) st.ospf_interfaces []
+            |> List.sort (fun (a : Config_ir.ospf_interface) (b : Config_ir.ospf_interface) ->
+                   Iface.compare a.iface b.iface);
+          redistributions = List.rev st.ospf_redistributions;
         })
       st.ospf
   in
-  let acls =
-    List.map (fun (n, es) -> Acl.make n es) (group_by_name st.acl_entries)
-  in
+  let acls = List.map (fun (n, es) -> Acl.make n es) (group_by_name (List.rev st.acl_entries)) in
   {
     Config_ir.hostname = st.hostname;
-    interfaces = st.interfaces;
+    interfaces = List.rev_map ( ! ) st.interfaces;
     prefix_lists;
     community_lists;
     as_path_lists;
     route_maps;
     acls;
-    statics = st.statics;
-    bgp = st.bgp;
+    statics = List.rev st.statics;
+    bgp;
     ospf;
   }
 
@@ -753,7 +732,7 @@ let parse text =
                 (String.concat " " toks)
             else handle_bgp_line st ~line toks
         | In_ospf, true -> handle_ospf_line st ~line toks
-        | In_route_map key, true -> handle_route_map_line st ~line key toks
+        | In_route_map stanza, true -> handle_route_map_line st ~line stanza toks
         | In_acl name, true -> handle_acl_line st ~line name toks)
     lines;
   let ir = assemble st in

@@ -10,7 +10,7 @@
 
 val parse : string -> Policy.Config_ir.t * Netcore.Diag.t list
 (** Never raises; an empty or hopeless input yields an empty config plus
-    diagnostics. *)
+    diagnostics. Time is linear in the input size. *)
 
 val parse_clean : string -> (Policy.Config_ir.t, Netcore.Diag.t list) result
 (** [Ok ir] only when there are no diagnostics at all. *)

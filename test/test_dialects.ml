@@ -160,6 +160,145 @@ let test_cisco_lint_dangling () =
   check bool_t "unattached map" true
     (diag_with ~sub:"route-map m is defined but not attached" lints)
 
+(* Stanza and list bookkeeping the parser's indexes must keep. *)
+
+let lines l = String.concat "\n" l ^ "\n"
+
+let test_cisco_duplicate_stanza () =
+  let text =
+    lines
+      [
+        "route-map M permit 10";
+        " set metric 1";
+        "route-map N permit 10";
+        "route-map M deny 10";
+        " set metric 2";
+        "route-map M permit 20";
+      ]
+  in
+  let ir, diags = Cisco.Parser.parse text in
+  (* The duplicate's body is outside any stanza: it is flagged, and does
+     not reach the first stanza. *)
+  (match diags with
+  | [ { Diag.line = 4; severity = Diag.Error; message }; { Diag.line = 5; _ } ] ->
+      check string_t "message" "duplicate route-map stanza M 10" message
+  | _ ->
+      Alcotest.failf "expected errors on lines 4 and 5, got:\n%s"
+        (String.concat "\n" (List.map Diag.to_string diags)));
+  let m = Option.get (Config_ir.find_route_map ir "M") in
+  match m.Route_map.entries with
+  | [ e10; e20 ] ->
+      check bool_t "first stanza kept" true (e10.Route_map.action = Action.Permit);
+      check bool_t "its sets untouched" true (e10.Route_map.sets = [ Route_map.Set_med 1 ]);
+      check int_t "later stanza" 20 e20.Route_map.seq
+  | _ -> Alcotest.fail "expected stanzas 10 and 20"
+
+let test_cisco_interleaved_route_maps () =
+  let text =
+    lines
+      [
+        "route-map B permit 30";
+        " set metric 3";
+        "route-map A permit 20";
+        " match tag 2";
+        "route-map B deny 10";
+        " match tag 1";
+        "route-map A permit 5";
+        "route-map C permit 10";
+        "route-map B permit 20";
+        " set local-preference 7";
+      ]
+  in
+  let ir, diags = Cisco.Parser.parse text in
+  check int_t "no diagnostics" 0 (List.length diags);
+  check (Alcotest.list string_t) "maps in first-appearance order" [ "B"; "A"; "C" ]
+    (List.map (fun (m : Route_map.t) -> m.Route_map.name) ir.Config_ir.route_maps);
+  let seqs name =
+    List.map
+      (fun (e : Route_map.entry) -> e.Route_map.seq)
+      (Option.get (Config_ir.find_route_map ir name)).Route_map.entries
+  in
+  check (Alcotest.list int_t) "B stanzas" [ 10; 20; 30 ] (seqs "B");
+  check (Alcotest.list int_t) "A stanzas" [ 5; 20 ] (seqs "A");
+  let b = Option.get (Config_ir.find_route_map ir "B") in
+  check bool_t "each stanza keeps its own lines" true
+    (List.map (fun (e : Route_map.entry) -> (e.Route_map.matches, e.Route_map.sets)) b.Route_map.entries
+    = [
+        ([ Route_map.Match_tag 1 ], []);
+        ([], [ Route_map.Set_local_pref 7 ]);
+        ([], [ Route_map.Set_med 3 ]);
+      ])
+
+let test_cisco_stanza_lines_in_order () =
+  let text =
+    lines
+      [
+        "route-map M permit 10";
+        " match ip address prefix-list P";
+        " set metric 5";
+        " match community CL";
+        " set local-preference 200";
+        " match tag 7";
+        " set community 100:1 additive";
+        " set as-path prepend 1 1";
+      ]
+  in
+  let ir, _ = Cisco.Parser.parse text in
+  let e = List.hd (Option.get (Config_ir.find_route_map ir "M")).Route_map.entries in
+  check bool_t "matches in order" true
+    (e.Route_map.matches
+    = [
+        Route_map.Match_prefix_list "P";
+        Route_map.Match_community_list "CL";
+        Route_map.Match_tag 7;
+      ]);
+  check bool_t "sets in order" true
+    (e.Route_map.sets
+    = [
+        Route_map.Set_med 5;
+        Route_map.Set_local_pref 200;
+        Route_map.Set_community
+          { communities = [ Community.of_string_exn "100:1" ]; additive = true };
+        Route_map.Set_as_path_prepend [ 1; 1 ];
+      ])
+
+let test_cisco_acl_reopened_seq () =
+  let text =
+    lines
+      [
+        "ip access-list extended A";
+        " permit ip any any";
+        " deny tcp any any eq 99999";
+        " deny tcp any any eq 22";
+        "ip access-list extended B";
+        " permit ip any any";
+        "ip access-list extended A";
+        " deny ip any any";
+      ]
+  in
+  let ir, diags = Cisco.Parser.parse text in
+  check int_t "one bad port" 1 (List.length diags);
+  let seqs name =
+    List.map (fun (e : Acl.entry) -> e.Acl.seq) (Option.get (Config_ir.find_acl ir name)).Acl.entries
+  in
+  (* A rejected line takes no number; a reopened list continues its own. *)
+  check (Alcotest.list int_t) "A" [ 10; 20; 30 ] (seqs "A");
+  check (Alcotest.list int_t) "B" [ 10 ] (seqs "B")
+
+(* The no-transit hub has Θ(n²) route-map stanzas; a quadratic parser took
+   seconds at n = 120. *)
+let test_cisco_hub_round_trip () =
+  List.iter
+    (fun n ->
+      let star = Star.make ~routers:n in
+      let hub = (List.hd (Cosynth.Modularizer.plan star)).Cosynth.Modularizer.correct in
+      let text = Cisco.Printer.print hub in
+      let ir, diags = Cisco.Parser.parse text in
+      check int_t (Printf.sprintf "n=%d no diagnostics" n) 0 (List.length diags);
+      check bool_t (Printf.sprintf "n=%d same IR" n) true (Config_ir.equal hub ir);
+      check bool_t (Printf.sprintf "n=%d print . parse" n) true (Cisco.Printer.print ir = text))
+    [ 30; 60; 120 ]
+
 (* ------------------------------------------------------------------ *)
 (* Junos                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -569,6 +708,14 @@ let () =
           Alcotest.test_case "set community replaces by default" `Quick
             test_cisco_set_community_default_replaces;
           Alcotest.test_case "lint dangling refs" `Quick test_cisco_lint_dangling;
+        ] );
+      ( "cisco-index",
+        [
+          Alcotest.test_case "duplicate stanza" `Quick test_cisco_duplicate_stanza;
+          Alcotest.test_case "interleaved route-maps" `Quick test_cisco_interleaved_route_maps;
+          Alcotest.test_case "stanza lines in order" `Quick test_cisco_stanza_lines_in_order;
+          Alcotest.test_case "reopened ACL numbering" `Quick test_cisco_acl_reopened_seq;
+          Alcotest.test_case "hub print . parse at 30/60/120" `Quick test_cisco_hub_round_trip;
         ] );
       ( "junos",
         [
