@@ -445,6 +445,156 @@ let test_report_table () =
   check bool_t "has title" true (contains ~sub:"T\n" s);
   check bool_t "aligned" true (contains ~sub:"333" s)
 
+(* ------------------------------------------------------------------ *)
+(* Golden digests across revisions                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Every other byte-identity test compares two code paths at one revision;
+   these pin MD5 digests of whole-run outputs, so a refactor of the driver
+   loop is checked against the behaviour it replaced. Each use case runs
+   under four settings: plain, a Byzantine adversary (LLM, feedback and
+   verifier lies), the trust layer against lying and colluding verifiers,
+   and verifier chaos. A digest change means the runs changed: bless a new
+   value only for a deliberate behaviour change. *)
+
+let golden_settings =
+  let adversary =
+    Adversary.Spec.make
+      ~llm:
+        (Adversary.Llm.make ~truncated:0.05 ~wrong_dialect:0.02 ~stale:0.2 ~partial_fix:0.1
+           ~off_topic:0.05 ~seed:2 ())
+      ~findings:
+        (Adversary.Findings.make ~dropped:0.1 ~duplicated:0.1 ~misattributed:0.1
+           ~garbled:0.1 ~seed:4 ())
+      ~verifier:
+        (Adversary.Verifier.make ~false_negative:0.1 ~false_positive:0.1 ~mutated:0.1
+           ~seed:5 ())
+      ()
+  in
+  let liars =
+    Adversary.Spec.make
+      ~verifier:
+        (Adversary.Verifier.make ~false_negative:0.5 ~false_positive:0.1 ~mutated:0.1
+           ~seed:5 ())
+      ~collusion:
+        (Adversary.Collusion.make
+           ~members:[ Resilience.Verifier.Parse_check; Resilience.Verifier.Route_policies ]
+           ~oracle:true ~rate:0.35 ~seed:6 ())
+      ()
+  in
+  let chaos =
+    Resilience.Runtime.config
+      ~chaos:
+        (Resilience.Chaos.make ~crash_rate:0.1 ~timeout_rate:0.1 ~flake_rate:0.2
+           ~truncate_rate:0.1 ~seed:11 ())
+      ()
+  in
+  [
+    ("plain", None, None, None);
+    ("adversary", None, Some adversary, None);
+    ("trust", None, Some liars, Some Resilience.Trust.default_config);
+    ("chaos", Some chaos, None, None);
+  ]
+
+let transcript_bytes t = Netcore.Json.to_string (Cosynth.Driver.transcript_to_json t)
+let golden_digest parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
+
+let golden_translation (_, resilience, adversary, trust) =
+  let run ?force_faults ?suppress_random seed =
+    let r =
+      Cosynth.Driver.run_translation ~seed ?force_faults ?suppress_random ?resilience
+        ?adversary ?trust ~cisco_text ()
+    in
+    transcript_bytes r.Cosynth.Driver.transcript
+    :: r.Cosynth.Driver.final_text
+    :: string_of_bool r.Cosynth.Driver.verified
+    :: List.map
+         (fun (o : Cosynth.Driver.class_outcome) ->
+           Printf.sprintf "%s=%b"
+             (Llmsim.Error_class.to_string o.Cosynth.Driver.class_)
+             o.Cosynth.Driver.fixed_by_generated_prompt)
+         r.Cosynth.Driver.outcomes
+  in
+  let table2 =
+    run ~force_faults:(Cosynth.Driver.table2_faults ~cisco_text) ~suppress_random:true 7
+  in
+  golden_digest (List.concat (table2 :: List.map run [ 1; 2; 3; 4; 5 ]))
+
+let golden_no_transit ?pool (_, resilience, adversary, trust) =
+  let run ?force_hub_faults seed =
+    let r =
+      Cosynth.Driver.run_no_transit ~seed ?pool ?force_hub_faults ?resilience ?adversary
+        ?trust ~routers:7 ()
+    in
+    (transcript_bytes r.Cosynth.Driver.transcript
+    :: string_of_bool r.Cosynth.Driver.global_ok
+    :: r.Cosynth.Driver.global_violations)
+    @ List.map
+        (fun (name, ir) ->
+          Printf.sprintf "%s %b\n%s" name
+            (List.assoc name r.Cosynth.Driver.per_router_verified)
+            (Cisco.Printer.print ir))
+        r.Cosynth.Driver.configs
+  in
+  let crossed_hub =
+    run
+      ~force_hub_faults:
+        [
+          Llmsim.Fault.make Llmsim.Error_class.Crossed_policy_attachment
+            Llmsim.Fault.Whole_config;
+        ]
+      5
+  in
+  golden_digest (List.concat (crossed_hub :: List.map run [ 1; 2; 3 ]))
+
+let golden_incremental (_, resilience, adversary, trust) =
+  let run seed =
+    let r =
+      Cosynth.Driver.run_incremental ~seed ?resilience ?adversary ?trust ~routers:5 ()
+    in
+    [
+      transcript_bytes r.Cosynth.Driver.inc_transcript;
+      Cisco.Printer.print r.Cosynth.Driver.hub_config;
+      Printf.sprintf "%b %b %b" r.Cosynth.Driver.specs_hold r.Cosynth.Driver.global_ok
+        r.Cosynth.Driver.interference_caught;
+    ]
+  in
+  golden_digest (List.concat_map run [ 1; 2; 3 ])
+
+(* setting -> (translation, no-transit, incremental) digests *)
+let golden_pins =
+  [
+    ( "plain",
+      ( "28132db1c975d4be256fc17f8125db24",
+        "2034b9b41fe1f3d1c4c8f8bc62817a77",
+        "63bd257ab47ec7f881b3d97ec7bf2427" ) );
+    ( "adversary",
+      ( "c280c9f49cf0b05d801b05305d3bfad4",
+        "32b3a7ab0d1c649469d197d1c66b746d",
+        "5f9c9aabb52c3aecce1ce6f38bf33464" ) );
+    ( "trust",
+      ( "8c63ab5a2a9d753b3a6bd2cc80348500",
+        "ca41bf7a68e5ffe495e95ca510e5b0da",
+        "9c7b697f3bfd20c04d26adacd0d504b0" ) );
+    ( "chaos",
+      ( "59ef5af913bc8c9f2bc1b4ae379ecf5b",
+        "805d3acf653fb433665352db3d57325d",
+        "4f8fc3fdf39242ac2f7f626d483bd996" ) );
+  ]
+
+let test_golden ((name, _, _, _) as setting) () =
+  let translation, no_transit, incremental = List.assoc name golden_pins in
+  let digest = Alcotest.string in
+  check digest (name ^ " translation") translation (golden_translation setting);
+  check digest (name ^ " no-transit") no_transit (golden_no_transit setting);
+  let pool = Exec.Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Exec.Pool.shutdown pool)
+    (fun () ->
+      check digest (name ^ " no-transit on a pool") no_transit
+        (golden_no_transit ~pool setting));
+  check digest (name ^ " incremental") incremental (golden_incremental setting)
+
 let () =
   Alcotest.run "cosynth"
     [
@@ -491,4 +641,9 @@ let () =
           Alcotest.test_case "quality converges" `Slow test_quality_all_converge;
           Alcotest.test_case "report table" `Quick test_report_table;
         ] );
+      ( "golden",
+        List.map
+          (fun ((name, _, _, _) as setting) ->
+            Alcotest.test_case name `Quick (test_golden setting))
+          golden_settings );
     ]
