@@ -160,7 +160,7 @@ type adv = {
   mutable escalations : int;
 }
 
-(* Mutable loop bookkeeping shared by both use cases. *)
+(* Mutable loop bookkeeping shared by every use case. *)
 type loop_state = {
   mutable events : event list;  (* reversed *)
   mutable human : int;
@@ -210,7 +210,7 @@ let adv_derive adversary idx =
       })
     adversary
 
-let new_loop ?adversary ?trust ~max_prompts ~stall_threshold () =
+let new_loop ~adversary ~trust ~max_prompts ~stall_threshold =
   {
     events = [];
     human = 0;
@@ -220,8 +220,8 @@ let new_loop ?adversary ?trust ~max_prompts ~stall_threshold () =
     max_prompts;
     stall_threshold;
     certificate = None;
-    adversary = (match adversary with Some a -> a | None -> None);
-    trust = (match trust with Some t -> t | None -> None);
+    adversary;
+    trust;
   }
 
 let budget_left st = st.auto + st.human < st.max_prompts
@@ -262,22 +262,28 @@ let adv_respond st chat prompt =
   | None -> Llmsim.Chat.respond chat prompt
   | Some a -> Adversary.Llm.respond a.llm chat prompt
 
+(* Send a finding straight to the (simulated) human — the escalation path
+   when a verifier stage has degraded and the human ran the check by hand.
+   No stall bookkeeping: the human prompt is authoritative. Returns [None]
+   when the finding carries no actionable reference (the loop should give
+   up on it). *)
+let send_human st (chat : Llmsim.Chat.t) (prompt : Humanizer.prompt) ~note =
+  if prompt.Humanizer.refs = [] then None
+  else begin
+    let human_text = "[human] " ^ prompt.Humanizer.text in
+    adv_respond st chat
+      { Llmsim.Chat.text = human_text; refs = prompt.Humanizer.refs; strength = Llmsim.Chat.Human };
+    record st Human human_text note;
+    st.stalls <- List.remove_assoc prompt.Humanizer.text st.stalls;
+    Some Human
+  end
+
 (* Send a humanized prompt; escalate to a human prompt after
    [stall_threshold] automated attempts at the same prompt text. Returns the
-   origin used, or [None] when the finding has no actionable reference and
-   has stalled (the loop should give up on it). *)
+   origin used, or [None] as for [send_human]. *)
 let send st (chat : Llmsim.Chat.t) (prompt : Humanizer.prompt) ~note =
   let attempts = Option.value ~default:0 (List.assoc_opt prompt.Humanizer.text st.stalls) in
-  if attempts >= st.stall_threshold then
-    if prompt.Humanizer.refs = [] then None
-    else begin
-      let human_text = "[human] " ^ prompt.Humanizer.text in
-      adv_respond st chat
-        { Llmsim.Chat.text = human_text; refs = prompt.Humanizer.refs; strength = Llmsim.Chat.Human };
-      record st Human human_text note;
-      st.stalls <- List.remove_assoc prompt.Humanizer.text st.stalls;
-      Some Human
-    end
+  if attempts >= st.stall_threshold then send_human st chat prompt ~note
   else begin
     adv_respond st chat
       {
@@ -289,22 +295,6 @@ let send st (chat : Llmsim.Chat.t) (prompt : Humanizer.prompt) ~note =
     st.stalls <-
       (prompt.Humanizer.text, attempts + 1) :: List.remove_assoc prompt.Humanizer.text st.stalls;
     Some Auto
-  end
-
-(* Send a finding straight to the (simulated) human — the escalation path
-   when a verifier stage has degraded and the human ran the check by hand.
-   No stall bookkeeping: the human prompt is authoritative. Returns [None]
-   when the finding carries no actionable reference (same give-up contract
-   as [send]). *)
-let send_human st (chat : Llmsim.Chat.t) (prompt : Humanizer.prompt) ~note =
-  if prompt.Humanizer.refs = [] then None
-  else begin
-    let human_text = "[human] " ^ prompt.Humanizer.text in
-    adv_respond st chat
-      { Llmsim.Chat.text = human_text; refs = prompt.Humanizer.refs; strength = Llmsim.Chat.Human };
-    record st Human human_text note;
-    st.stalls <- List.remove_assoc prompt.Humanizer.text st.stalls;
-    Some Human
   end
 
 (* ------------------------------------------------------------------ *)
@@ -435,32 +425,69 @@ let route_policies_lens =
           | _ -> (s, o));
   }
 
-(* Arm the lying schedules on a wrapped suite. A no-op without an adversary
-   or with every lie rate 0 — the schedules stay exactly as chaos left
-   them, preserving rate-0 byte-identity. *)
-let arm_suite_lies adversary (suite : Resilience.Suite.t) =
-  match adversary with
-  | None -> ()
-  | Some a ->
-      Adversary.Verifier.arm a.lies ~lens:parse_lens suite.Resilience.Suite.parse;
-      Adversary.Verifier.arm a.lies ~lens:campion_lens suite.Resilience.Suite.campion;
-      Adversary.Verifier.arm a.lies ~lens:topology_lens suite.Resilience.Suite.topology;
-      Adversary.Verifier.arm a.lies ~lens:route_policies_lens
-        suite.Resilience.Suite.route_policies;
-      (* The coalition arms over whatever the lie engine installed, and —
-         when it owns the oracle — as the cross-check oracle service too. *)
-      Adversary.Collusion.arm a.colluders ~lens:parse_lens suite.Resilience.Suite.parse;
-      Adversary.Collusion.arm a.colluders ~lens:campion_lens suite.Resilience.Suite.campion;
-      Adversary.Collusion.arm a.colluders ~lens:topology_lens suite.Resilience.Suite.topology;
-      Adversary.Collusion.arm a.colluders ~lens:route_policies_lens
-        suite.Resilience.Suite.route_policies
+(* The whole-network no-transit check's answer embeds a verdict — whether
+   the policy holds, and the counterexamples — that [verdict] reads and
+   [with_verdict] replaces; the lens forges only that part. *)
+let bgp_sim_lens ~verdict ~with_verdict =
+  {
+    Adversary.Verifier.dirty = (fun o -> not (fst (verdict o)));
+    clean = (fun o -> with_verdict o (true, []));
+    fabricate =
+      (fun o ->
+        with_verdict o (false, snd (verdict o) @ [ "a route from ISP-1 can reach ISP-2" ]));
+    mutate =
+      (fun o ->
+        let ok, violations = verdict o in
+        with_verdict o
+          (ok, List.map (fun v -> "between a different pair of spokes: " ^ v) violations));
+  }
 
-let arm_verifier_lies adversary ~lens v =
-  match adversary with
+(* Arm the loop's lying schedules on a wrapped verifier: the lie engine
+   first, then the coalition over whatever it installed (and, when the
+   coalition owns the oracle, as the cross-check oracle service too). A
+   no-op without an adversary or with every lie rate 0 — the schedules
+   stay exactly as chaos left them, preserving rate-0 byte-identity. *)
+let arm_lies st ~lens v =
+  match st.adversary with
   | None -> ()
   | Some a ->
       Adversary.Verifier.arm a.lies ~lens v;
       Adversary.Collusion.arm a.colluders ~lens v
+
+(* The standard verifier suite on [rt], lies armed. *)
+let armed_suite st rt =
+  let suite = Resilience.Suite.make rt in
+  arm_lies st ~lens:parse_lens suite.Resilience.Suite.parse;
+  arm_lies st ~lens:campion_lens suite.Resilience.Suite.campion;
+  arm_lies st ~lens:topology_lens suite.Resilience.Suite.topology;
+  arm_lies st ~lens:route_policies_lens suite.Resilience.Suite.route_policies;
+  suite
+
+(* The whole-network check (the paper's Minesweeper-style global verifier)
+   wrapped like the suite's stages: when it degrades, the human runs it by
+   hand and its counterexample arrives as a human prompt. *)
+let bgp_sim_verifier st rt ~verdict ~with_verdict check =
+  let v =
+    Resilience.Runtime.arm rt
+      (Resilience.Verifier.wrap
+         ~dirty:(fun o -> not (fst (verdict o)))
+         Resilience.Verifier.Bgp_sim check)
+  in
+  arm_lies st ~lens:(bgp_sim_lens ~verdict ~with_verdict) v;
+  v
+
+(* A run's loop state and armed suite. [trust_ledger] takes precedence over
+   a fresh ledger built from [trust]. *)
+let setup ~seed ~resilience ~adversary ~trust ~trust_ledger ~max_prompts ~stall_threshold =
+  let trust =
+    match trust_ledger with
+    | Some _ -> trust_ledger
+    | None -> Option.map Resilience.Trust.create trust
+  in
+  let st =
+    new_loop ~adversary:(adv_of_spec adversary) ~trust ~max_prompts ~stall_threshold
+  in
+  (st, armed_suite st (Resilience.Runtime.create ~salt:seed resilience))
 
 (* ------------------------------------------------------------------ *)
 (* Resilient verifier stages                                           *)
@@ -480,14 +507,6 @@ type 'a stage_result =
   | Checked of 'a
   | Hand_checked of 'a
   | Crashed_stage of Resilience.Guard.crash
-
-let stage_value = function
-  | Checked v | Hand_checked v -> v
-  | Crashed_stage c ->
-      invalid_arg
-        ("Driver.stage_value: crashed stage " ^ Resilience.Guard.crash_to_string c)
-
-let stage_degraded = function Checked _ -> false | Hand_checked _ | Crashed_stage _ -> true
 
 let run_stage st rt (v : _ Resilience.Verifier.t) input =
   let kind = Resilience.Verifier.kind v in
@@ -797,6 +816,96 @@ let finish st converged =
   }
 
 (* ------------------------------------------------------------------ *)
+(* The VPP round                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* What a use case's verifier chain says about one draft: clean; the first
+   outstanding finding, with the stage that raised it, how many findings
+   that stage reported, whether it was hand-checked, and its humanized
+   prompt; or a crashed stage. *)
+type verdict =
+  | Clean
+  | Finding of { stage : string; count : int; degraded : bool; prompt : Humanizer.prompt }
+  | Crash of Resilience.Guard.crash
+
+(* Chain a stage into the rest of a check: [k] gets the stage's answer and
+   whether it was hand-checked; a crashed stage ends the check. *)
+let ( let* ) r k =
+  match r with
+  | Checked v -> k (v, false)
+  | Hand_checked v -> k (v, true)
+  | Crashed_stage crash -> Crash crash
+
+(* A stage's findings as a verdict: the first one, humanized, or [k ()]
+   when there are none. *)
+let flag ~stage ~degraded humanize findings k =
+  match findings with
+  | [] -> k ()
+  | f :: _ -> Finding { stage; count = List.length findings; degraded; prompt = humanize f }
+
+let clean () = Clean
+
+(* The syntax stage every chain opens with; [k] gets the parsed draft. *)
+let syntax_stage st (suite : Resilience.Suite.t) dialect draft k =
+  let* (ir, diags), degraded =
+    run_stage st suite.Resilience.Suite.runtime suite.Resilience.Suite.parse (dialect, draft)
+  in
+  flag ~stage:"syntax" ~degraded Humanizer.of_diag
+    (List.filter Netcore.Diag.is_error diags)
+    (fun () -> k ir)
+
+(* The semantic stage that closes every no-transit chain: Search Route
+   Policies over the router's local specs. [humanize] sees exactly the
+   violation the loop delivers. *)
+let semantic_stage st (suite : Resilience.Suite.t) ir specs humanize =
+  let* outcomes, degraded =
+    run_stage st suite.Resilience.Suite.runtime suite.Resilience.Suite.route_policies
+      (ir, specs)
+  in
+  let violations =
+    List.filter_map
+      (function
+        | _, Batfish.Search_route_policies.Violated v -> Some v
+        | _, (Batfish.Search_route_policies.Holds | Batfish.Search_route_policies.Policy_missing)
+          ->
+            None)
+      outcomes
+  in
+  flag ~stage:"semantic" ~degraded humanize violations clean
+
+(* The VPP loop of Figure 3, shared by every use case: draft, run the
+   use case's [check] chain, deliver its first finding (the watchdog and
+   the oscillation detector may end the run first), repeat. [on_sent] sees
+   each delivered prompt and the origin it went out with. Returns the last
+   checked draft and whether it came back clean; when the budget runs out,
+   the chat's current draft. *)
+let vpp_loop st rt chat ~check ~on_sent =
+  let rec round () =
+    st.rounds <- st.rounds + 1;
+    if not (budget_left st) then (Llmsim.Chat.draft chat, false)
+    else begin
+      Resilience.Runtime.new_round rt;
+      let draft = adv_draft st chat in
+      let stop () = (draft, false) in
+      if observe_draft st draft then stop ()
+      else
+        match check draft with
+        | Clean -> (draft, true)
+        | Crash crash -> on_crash st chat crash ~k:round ~stop
+        | Finding { stage; count; degraded; prompt } -> (
+            if observe_findings st ~stage ~findings:count then stop ()
+            else
+              match deliver st chat ~degraded prompt ~note:stage with
+              | `Sent origin ->
+                  on_sent origin prompt;
+                  round ()
+              | `Dropped -> round ()
+              | `Gave_up -> stop ())
+    end
+  in
+  round ()
+
+(* ------------------------------------------------------------------ *)
 (* Class outcome tracking (Table 2)                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -872,17 +981,8 @@ let run_translation ?(seed = 42) ?(force_faults = []) ?(suppress_random = false)
     Llmsim.Chat.start ~seed ~force_faults ~suppress_random ~regression_rate:0.2 ~quality
       Llmsim.Fault.Junos_cfg ~correct
   in
-  let rt = Resilience.Runtime.create ~salt:seed resilience in
-  let suite = Resilience.Suite.make rt in
-  let adv = adv_of_spec adversary in
-  arm_suite_lies adv suite;
-  let st =
-    new_loop ~adversary:adv
-      ~trust:
-        (match trust_ledger with
-        | Some _ -> trust_ledger
-        | None -> Option.map Resilience.Trust.create trust)
-      ~max_prompts ~stall_threshold ()
+  let st, suite =
+    setup ~seed ~resilience ~adversary ~trust ~trust_ledger ~max_prompts ~stall_threshold
   in
   let tr = { seen = []; tainted = [] } in
   (* The initial task prompt ("translate the configuration into an
@@ -890,62 +990,26 @@ let run_translation ?(seed = 42) ?(force_faults = []) ?(suppress_random = false)
   record st Human "Translate the configuration into an equivalent Juniper configuration."
     "initial task prompt";
   track_seen tr chat;
+  (* Classes are tracked at the start of every check (the chat's faults
+     then are those of the round's start) and once more when the loop
+     ends, for a final round that never reached its check. *)
+  let check draft =
+    track_seen tr chat;
+    syntax_stage st suite Batfish.Parse_check.Junos draft (fun ir ->
+        let* findings, degraded =
+          run_stage st suite.Resilience.Suite.runtime suite.Resilience.Suite.campion
+            (cisco_ir, ir)
+        in
+        flag ~stage:"campion" ~degraded Humanizer.of_campion findings clean)
+  in
   let taint_refs origin (prompt : Humanizer.prompt) =
     List.iter
       (fun (f : Llmsim.Fault.t) -> if origin = Human then taint tr f.Llmsim.Fault.class_)
       prompt.Humanizer.refs
   in
-  let rec loop () =
-    st.rounds <- st.rounds + 1;
-    track_seen tr chat;
-    if not (budget_left st) then finish st false
-    else begin
-      Resilience.Runtime.new_round rt;
-      let draft = adv_draft st chat in
-      let give_up () = finish st false in
-      if observe_draft st draft then finish st false
-      else
-      match run_stage st rt suite.Resilience.Suite.parse (Batfish.Parse_check.Junos, draft) with
-      | Crashed_stage crash -> on_crash st chat crash ~k:loop ~stop:give_up
-      | (Checked _ | Hand_checked _) as parsed -> (
-          let ir, diags = stage_value parsed in
-          match first_error diags with
-          | Some diag ->
-              let n_errors = List.length (List.filter Netcore.Diag.is_error diags) in
-              if observe_findings st ~stage:"syntax" ~findings:n_errors then finish st false
-              else
-                let prompt = Humanizer.of_diag diag in
-                (match deliver st chat ~degraded:(stage_degraded parsed) prompt ~note:"syntax" with
-                | `Sent origin ->
-                    taint_refs origin prompt;
-                    loop ()
-                | `Dropped -> loop ()
-                | `Gave_up -> finish st false)
-          | None -> (
-              match run_stage st rt suite.Resilience.Suite.campion (cisco_ir, ir) with
-              | Crashed_stage crash -> on_crash st chat crash ~k:loop ~stop:give_up
-              | (Checked _ | Hand_checked _) as diffed -> (
-                  match stage_value diffed with
-                  | [] -> finish st true
-                  | finding :: _ as findings ->
-                      if
-                        observe_findings st ~stage:"campion"
-                          ~findings:(List.length findings)
-                      then finish st false
-                      else
-                        let prompt = Humanizer.of_campion finding in
-                        (match
-                           deliver st chat ~degraded:(stage_degraded diffed) prompt
-                             ~note:"campion"
-                         with
-                        | `Sent origin ->
-                            taint_refs origin prompt;
-                            loop ()
-                        | `Dropped -> loop ()
-                        | `Gave_up -> finish st false))))
-    end
-  in
-  let transcript = loop () in
+  let _, ok = vpp_loop st suite.Resilience.Suite.runtime chat ~check ~on_sent:taint_refs in
+  track_seen tr chat;
+  let transcript = finish st ok in
   pre_taint tr;
   let final_text = Llmsim.Chat.draft chat in
   let verified =
@@ -1001,18 +1065,10 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
     match tasks_override with Some ts -> ts | None -> Modularizer.plan star
   in
   let iips = if use_iips then Iip.ids Iip.defaults else [] in
-  let rt_main = Resilience.Runtime.create ~salt:seed resilience in
-  let suite_main = Resilience.Suite.make rt_main in
-  let adv_main = adv_of_spec adversary in
-  arm_suite_lies adv_main suite_main;
-  let st =
-    new_loop ~adversary:adv_main
-      ~trust:
-        (match trust_ledger with
-        | Some _ -> trust_ledger
-        | None -> Option.map Resilience.Trust.create trust)
-      ~max_prompts ~stall_threshold ()
+  let st, suite_main =
+    setup ~seed ~resilience ~adversary ~trust ~trust_ledger ~max_prompts ~stall_threshold
   in
+  let rt_main = suite_main.Resilience.Suite.runtime in
   record st Human
     (Printf.sprintf
        "Make a %d-router star network follow the no-transit policy: no two ISPs \
@@ -1020,93 +1076,22 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
         CUSTOMER and vice versa."
        routers)
     "initial task prompt";
-  (* One local verification pass for a router: syntax, then topology, then
-     local policy semantics. [st] is the loop state charged for the prompts:
-     the run-wide one during the global phase, a per-router one during the
+  (* One router's synthesis: syntax, then topology, then local policy
+     semantics. [st] is the loop state charged for the prompts: the
+     run-wide one during the global phase, a per-router one during the
      fan-out (merged back on join so the accounting is identical whether
      the routers run sequentially or on a pool). *)
   let local_loop st (suite : Resilience.Suite.t) (task : Modularizer.router_task) chat =
-    let rt = suite.Resilience.Suite.runtime in
-    let rec loop () =
-      st.rounds <- st.rounds + 1;
-      if not (budget_left st) then (Llmsim.Chat.draft chat, false)
-      else begin
-        Resilience.Runtime.new_round rt;
-        let draft = adv_draft st chat in
-        let give_up () = (draft, false) in
-        if observe_draft st draft then (draft, false)
-        else
-        match
-          run_stage st rt suite.Resilience.Suite.parse (Batfish.Parse_check.Cisco_ios, draft)
-        with
-        | Crashed_stage crash -> on_crash st chat crash ~k:loop ~stop:give_up
-        | (Checked _ | Hand_checked _) as parsed -> (
-            let ir, diags = stage_value parsed in
-            match first_error diags with
-            | Some diag ->
-                let n_errors = List.length (List.filter Netcore.Diag.is_error diags) in
-                if observe_findings st ~stage:"syntax" ~findings:n_errors then (draft, false)
-                else (
-                  match
-                    deliver st chat ~degraded:(stage_degraded parsed) (Humanizer.of_diag diag)
-                      ~note:"syntax"
-                  with
-                  | `Sent _ | `Dropped -> loop ()
-                  | `Gave_up -> (draft, false))
-            | None -> (
-                match
-                  run_stage st rt suite.Resilience.Suite.topology
-                    (star.Netcore.Star.topology, task.Modularizer.router, ir)
-                with
-                | Crashed_stage crash -> on_crash st chat crash ~k:loop ~stop:give_up
-                | (Checked _ | Hand_checked _) as topo -> (
-                    match stage_value topo with
-                    | finding :: _ as findings ->
-                        if
-                          observe_findings st ~stage:"topology"
-                            ~findings:(List.length findings)
-                        then (draft, false)
-                        else (
-                          match
-                            deliver st chat ~degraded:(stage_degraded topo)
-                              (Humanizer.of_topology finding) ~note:"topology"
-                          with
-                          | `Sent _ | `Dropped -> loop ()
-                          | `Gave_up -> (draft, false))
-                    | [] -> (
-                        match
-                          run_stage st rt suite.Resilience.Suite.route_policies
-                            (ir, task.Modularizer.specs)
-                        with
-                        | Crashed_stage crash -> on_crash st chat crash ~k:loop ~stop:give_up
-                        | (Checked _ | Hand_checked _) as semantics -> (
-                            let violations =
-                              List.filter_map
-                                (fun (_, outcome) ->
-                                  match outcome with
-                                  | Batfish.Search_route_policies.Violated v -> Some v
-                                  | Batfish.Search_route_policies.Holds
-                                  | Batfish.Search_route_policies.Policy_missing ->
-                                      None)
-                                (stage_value semantics)
-                            in
-                            match violations with
-                            | [] -> (draft, true)
-                            | v :: _ ->
-                                if
-                                  observe_findings st ~stage:"semantic"
-                                    ~findings:(List.length violations)
-                                then (draft, false)
-                                else (
-                                  match
-                                    deliver st chat ~degraded:(stage_degraded semantics)
-                                      (Humanizer.of_violation v) ~note:"semantic"
-                                  with
-                                  | `Sent _ | `Dropped -> loop ()
-                                  | `Gave_up -> (draft, false)))))))
-      end
+    let check draft =
+      syntax_stage st suite Batfish.Parse_check.Cisco_ios draft (fun ir ->
+          let* findings, degraded =
+            run_stage st suite.Resilience.Suite.runtime suite.Resilience.Suite.topology
+              (star.Netcore.Star.topology, task.Modularizer.router, ir)
+          in
+          flag ~stage:"topology" ~degraded Humanizer.of_topology findings (fun () ->
+              semantic_stage st suite ir task.Modularizer.specs Humanizer.of_violation))
     in
-    loop ()
+    vpp_loop st suite.Resilience.Suite.runtime chat ~check ~on_sent:(fun _ _ -> ())
   in
   (* Each router is an independent task: its own chat, its own derived seed,
      its own loop state (budget = what is left after the initial prompt).
@@ -1130,9 +1115,9 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
   let synthesize_router (idx, (task : Modularizer.router_task)) =
     let sub =
       new_loop
-        ~adversary:(adv_derive adv_main idx)
+        ~adversary:(adv_derive st.adversary idx)
         ~trust:(Option.map Resilience.Trust.derive st.trust)
-        ~max_prompts:router_budget ~stall_threshold ()
+        ~max_prompts:router_budget ~stall_threshold
     in
     let force_faults =
       if task.Modularizer.router = star.Netcore.Star.hub then force_hub_faults
@@ -1145,8 +1130,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
     (* Each task gets an independent derived resilience context (fresh
        clock, breakers, fault streams) so the fan-out is deterministic on a
        pool and one router's outage never trips a sibling's breaker. *)
-    let suite = Resilience.Suite.make (Resilience.Runtime.derive rt_main idx) in
-    arm_suite_lies sub.adversary suite;
+    let suite = armed_suite sub (Resilience.Runtime.derive rt_main idx) in
     (* The modularizer's per-router prompt is machine-generated: automated.
        Recorded only while the share has budget, so a starved fan-out still
        respects the run-wide prompt ceiling. *)
@@ -1154,8 +1138,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
       record sub Auto task.Modularizer.prompt
         (Printf.sprintf "modularizer prompt for %s" task.Modularizer.router);
     let final_draft, ok = local_loop sub suite task chat in
-    let ir = cisco_ir_of final_draft in
-    (task.Modularizer.router, chat, ir, ok, sub)
+    ((task, chat, cisco_ir_of final_draft, ok), sub)
   in
   let indexed = List.mapi (fun i t -> (i, t)) tasks in
   let fanned =
@@ -1163,10 +1146,12 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
     | Some p -> Exec.Pool.map p synthesize_router indexed
     | None -> Exec.Pool.map_seq synthesize_router indexed
   in
-  List.iter (fun (_, _, _, _, sub) -> absorb st sub) fanned;
-  let results = List.map (fun (name, chat, ir, ok, _) -> (name, chat, ir, ok)) fanned in
+  List.iter (fun (_, sub) -> absorb st sub) fanned;
+  let results = List.map fst fanned in
   let all_ok = List.for_all (fun (_, _, _, ok) -> ok) results in
-  let configs_of results = List.map (fun (name, _, ir, _) -> (name, ir)) results in
+  let configs_of results =
+    List.map (fun ((t : Modularizer.router_task), _, ir, _) -> (t.Modularizer.router, ir)) results
+  in
   let check_global configs =
     let sim () = Modularizer.no_transit_holds star configs in
     let prove () = Lightyear.prove_no_transit star configs in
@@ -1192,105 +1177,68 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
   (* Global phase: when every router verifies locally but the whole-network
      check fails, feed the counterexample back to the hub conversation
      (crossed attachments are the only fault that survives local
-     verification) and re-verify the hub locally after each prompt. *)
-  (* The hub is looked up by name, not by position: the modularizer
-     currently plans it first, but the feedback must keep firing (and fail
-     loudly, not silently return) if the plan is ever reordered. *)
+     verification) and re-verify the hub locally after each prompt. The hub
+     is looked up by name, not by position: the modularizer currently plans
+     it first, but the feedback must keep firing (and fail loudly, not
+     silently return) if the plan is ever reordered. *)
   let hub_name = star.Netcore.Star.hub in
-  let hub_task_exn () =
-    match
-      List.find_opt
-        (fun (t : Modularizer.router_task) -> t.Modularizer.router = hub_name)
-        tasks
-    with
-    | Some t -> t
+  let is_hub ((t : Modularizer.router_task), _, _, _) = t.Modularizer.router = hub_name in
+  let hub_exn results =
+    match List.find_opt is_hub results with
+    | Some (task, chat, _, _) -> (task, chat)
     | None ->
         invalid_arg
-          (Printf.sprintf "Driver.run_no_transit: hub %s missing from the task plan"
-             hub_name)
+          (Printf.sprintf "Driver.run_no_transit: hub %s missing from the task plan" hub_name)
   in
-  let hub_chat_exn results =
-    match List.find_opt (fun (name, _, _, _) -> name = hub_name) results with
-    | Some (_, chat, _, _) -> chat
-    | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Driver.run_no_transit: hub %s missing from the synthesis results"
-             hub_name)
-  in
-  (* The whole-network check (the paper's Minesweeper-style global
-     verifier) is itself wrapped: when it degrades, the human runs the
-     simulation by hand and the counterexample feedback arrives as a human
-     prompt. *)
   let global_verifier =
-    Resilience.Runtime.arm rt_main
-      (Resilience.Verifier.wrap
-         ~dirty:(fun ((ok, _), _) -> not ok)
-         Resilience.Verifier.Bgp_sim check_global)
+    bgp_sim_verifier st rt_main ~verdict:fst
+      ~with_verdict:(fun (_, proof) v -> (v, proof))
+      check_global
   in
-  arm_verifier_lies adv_main global_verifier
-    ~lens:
-      {
-        Adversary.Verifier.dirty = (fun ((ok, _), _) -> not ok);
-        clean = (fun ((_, _), proof) -> ((true, []), proof));
-        fabricate =
-          (fun ((_, violations), proof) ->
-            ((false, violations @ [ "a route from ISP-1 can reach ISP-2" ]), proof));
-        mutate =
-          (fun ((ok, violations), proof) ->
-            ( (ok, List.map (fun v -> "between a different pair of spokes: " ^ v) violations),
-              proof ));
-      };
   let rec global_phase results rounds =
     Resilience.Runtime.new_round rt_main;
-    match run_stage st rt_main global_verifier (configs_of results) with
+    let checked = run_stage st rt_main global_verifier (configs_of results) in
+    let last_round = rounds = 0 || not (budget_left st) in
+    let recheck () = global_phase results (rounds - 1) in
+    match checked with
     | Crashed_stage crash ->
         (* The whole-network check aborted on these configs: surface the
            crash to the hub conversation as a rewrite prompt and re-check,
            within the same round bound as ordinary counterexamples. *)
-        let crashed () =
-          (results, false, [ Resilience.Guard.crash_to_string crash ], None)
-        in
-        if rounds = 0 || not (budget_left st) then crashed ()
+        let crashed () = (results, false, [ Resilience.Guard.crash_to_string crash ], None) in
+        if last_round then crashed ()
+        else on_crash st (snd (hub_exn results)) crash ~k:recheck ~stop:crashed
+    | Checked ((ok, violations), proof) | Hand_checked ((ok, violations), proof) -> (
+        let settled = (results, ok, violations, proof) in
+        if
+          ok || last_round
+          || observe_findings st ~stage:"global" ~findings:(List.length violations)
+        then settled
         else
-          on_crash st (hub_chat_exn results) crash
-            ~k:(fun () -> global_phase results (rounds - 1))
-            ~stop:crashed
-    | (Checked _ | Hand_checked _) as checked -> (
-    let (ok, violations), proof = stage_value checked in
-    if ok || rounds = 0 || not (budget_left st) then (results, ok, violations, proof)
-    else if observe_findings st ~stage:"global" ~findings:(List.length violations) then
-      (results, ok, violations, proof)
-    else
-      let hub_task = hub_task_exn () in
-      let hub_chat = hub_chat_exn results in
-      let prompt = Humanizer.of_global_violations ~hub:hub_name violations in
-      let resynthesize () =
-        let draft, local_ok = local_loop st suite_main hub_task hub_chat in
-        let ir = cisco_ir_of draft in
-        let results =
-          List.map
-            (fun ((name, chat, _, _) as r) ->
-              if name = hub_name then (name, chat, ir, local_ok) else r)
-            results
-        in
-        global_phase results (rounds - 1)
-      in
-      match
-        deliver st hub_chat ~degraded:(stage_degraded checked) prompt ~note:"global"
-      with
-      | `Gave_up -> (results, ok, violations, proof)
-      | `Sent _ -> resynthesize ()
-      | `Dropped ->
-          (* The counterexample never reached the hub: nothing changed, so
-             re-checking without re-synthesis just burns a round. *)
-          global_phase results (rounds - 1))
+          let hub_task, hub_chat = hub_exn results in
+          match
+            deliver st hub_chat
+              ~degraded:(match checked with Checked _ -> false | _ -> true)
+              (Humanizer.of_global_violations ~hub:hub_name violations)
+              ~note:"global"
+          with
+          | `Gave_up -> settled
+          | `Sent _ ->
+              let draft, local_ok = local_loop st suite_main hub_task hub_chat in
+              let hub = (hub_task, hub_chat, cisco_ir_of draft, local_ok) in
+              global_phase (List.map (fun r -> if is_hub r then hub else r) results) (rounds - 1)
+          | `Dropped ->
+              (* The counterexample never reached the hub: nothing changed, so
+                 re-checking without re-synthesis just burns a round. *)
+              recheck ())
   in
   let results, global_ok, global_violations, proof =
     if all_ok then global_phase results 12
     else (results, false, [ "per-router verification incomplete" ], None)
   in
-  let per_router_verified = List.map (fun (name, _, _, ok) -> (name, ok)) results in
+  let per_router_verified =
+    List.map (fun ((t : Modularizer.router_task), _, _, ok) -> (t.Modularizer.router, ok)) results
+  in
   {
     transcript = finish st (List.for_all snd per_router_verified && global_ok);
     configs = configs_of results;
@@ -1317,23 +1265,15 @@ let run_incremental ?(seed = 42) ?(max_prompts = 100) ?(stall_threshold = 2)
     ?(resilience = Resilience.Runtime.default_config) ?adversary ?trust ?trust_ledger
     ~routers () =
   let star = Netcore.Star.make ~routers in
-  let rt = Resilience.Runtime.create ~salt:seed resilience in
-  let suite = Resilience.Suite.make rt in
-  let adv = adv_of_spec adversary in
-  arm_suite_lies adv suite;
+  let st, suite =
+    setup ~seed ~resilience ~adversary ~trust ~trust_ledger ~max_prompts ~stall_threshold
+  in
+  let rt = suite.Resilience.Suite.runtime in
   let task = Modularizer.prepend_task star ~target ~prepend in
   let base_configs =
     List.map
       (fun (t : Modularizer.router_task) -> (t.Modularizer.router, t.Modularizer.correct))
       (Modularizer.plan star)
-  in
-  let st =
-    new_loop ~adversary:adv
-      ~trust:
-        (match trust_ledger with
-        | Some _ -> trust_ledger
-        | None -> Option.map Resilience.Trust.create trust)
-      ~max_prompts ~stall_threshold ()
   in
   let interference = ref false in
   record st Human task.Modularizer.prompt "incremental task prompt";
@@ -1349,71 +1289,22 @@ let run_incremental ?(seed = 42) ?(max_prompts = 100) ?(stall_threshold = 2)
     Llmsim.Chat.start ~seed ~class_filter:edit_classes Llmsim.Fault.Cisco_cfg
       ~correct:task.Modularizer.correct
   in
-  let rec loop () =
-    st.rounds <- st.rounds + 1;
-    if not (budget_left st) then false
-    else begin
-      Resilience.Runtime.new_round rt;
-      let draft = adv_draft st chat in
-      let give_up () = false in
-      if observe_draft st draft then false
-      else
-      match
-        run_stage st rt suite.Resilience.Suite.parse (Batfish.Parse_check.Cisco_ios, draft)
-      with
-      | Crashed_stage crash -> on_crash st chat crash ~k:loop ~stop:give_up
-      | (Checked _ | Hand_checked _) as parsed -> (
-      let ir, diags = stage_value parsed in
-      match first_error diags with
-      | Some diag ->
-          let n_errors = List.length (List.filter Netcore.Diag.is_error diags) in
-          if observe_findings st ~stage:"syntax" ~findings:n_errors then false
-          else (
-            match
-              deliver st chat ~degraded:(stage_degraded parsed) (Humanizer.of_diag diag)
-                ~note:"syntax"
-            with
-            | `Sent _ | `Dropped -> loop ()
-            | `Gave_up -> false)
-      | None -> (
-          match
-            run_stage st rt suite.Resilience.Suite.route_policies (ir, task.Modularizer.specs)
-          with
-          | Crashed_stage crash -> on_crash st chat crash ~k:loop ~stop:give_up
-          | (Checked _ | Hand_checked _) as semantics -> (
-          let violations =
-            List.filter_map
-              (fun (_, outcome) ->
-                match outcome with
-                | Batfish.Search_route_policies.Violated v -> Some v
-                | Batfish.Search_route_policies.Holds
-                | Batfish.Search_route_policies.Policy_missing ->
-                    None)
-              (stage_value semantics)
-          in
-          match violations with
-          | [] -> true
-          | v :: _ ->
-              (match v.Batfish.Search_route_policies.spec.Batfish.Search_route_policies.requirement with
-              | Batfish.Search_route_policies.Denies
-              | Batfish.Search_route_policies.Permits
-              | Batfish.Search_route_policies.Adds_community _ ->
-                  (* A pre-existing local policy broke: the verifier caught
-                     interference with the verified configuration. *)
-                  interference := true
-              | Batfish.Search_route_policies.Prepends _ -> ());
-              if observe_findings st ~stage:"semantic" ~findings:(List.length violations)
-              then false
-              else (
-                match
-                  deliver st chat ~degraded:(stage_degraded semantics)
-                    (Humanizer.of_violation v) ~note:"semantic"
-                with
-                | `Sent _ | `Dropped -> loop ()
-                | `Gave_up -> false))))
-    end
+  let humanize (v : Batfish.Search_route_policies.violation) =
+    (match v.Batfish.Search_route_policies.spec.Batfish.Search_route_policies.requirement with
+    | Batfish.Search_route_policies.Denies
+    | Batfish.Search_route_policies.Permits
+    | Batfish.Search_route_policies.Adds_community _ ->
+        (* A pre-existing local policy broke: the verifier caught
+           interference with the verified configuration. *)
+        interference := true
+    | Batfish.Search_route_policies.Prepends _ -> ());
+    Humanizer.of_violation v
   in
-  let specs_hold = loop () in
+  let check draft =
+    syntax_stage st suite Batfish.Parse_check.Cisco_ios draft (fun ir ->
+        semantic_stage st suite ir task.Modularizer.specs humanize)
+  in
+  let _, specs_hold = vpp_loop st rt chat ~check ~on_sent:(fun _ _ -> ()) in
   let hub_config = cisco_ir_of (Llmsim.Chat.draft chat) in
   let configs =
     (star.Netcore.Star.hub, hub_config)
@@ -1425,24 +1316,9 @@ let run_incremental ?(seed = 42) ?(max_prompts = 100) ?(stall_threshold = 2)
      an unchecked exception. The short-circuit stays — when the specs
      already failed there is nothing worth simulating. *)
   let global_verifier =
-    Resilience.Runtime.arm rt
-      (Resilience.Verifier.wrap
-         ~dirty:(fun (ok, _) -> not ok)
-         Resilience.Verifier.Bgp_sim
-         (fun configs -> Modularizer.no_transit_holds star configs))
+    bgp_sim_verifier st rt ~verdict:Fun.id ~with_verdict:(fun _ v -> v)
+      (Modularizer.no_transit_holds star)
   in
-  arm_verifier_lies adv global_verifier
-    ~lens:
-      {
-        Adversary.Verifier.dirty = (fun (ok, _) -> not ok);
-        clean = (fun (_, _) -> (true, []));
-        fabricate =
-          (fun (_, violations) ->
-            (false, violations @ [ "a route from ISP-1 can reach ISP-2" ]));
-        mutate =
-          (fun (ok, violations) ->
-            (ok, List.map (fun v -> "between a different pair of spokes: " ^ v) violations));
-      };
   let global_ok =
     specs_hold
     &&
@@ -1453,7 +1329,7 @@ let run_incremental ?(seed = 42) ?(max_prompts = 100) ?(stall_threshold = 2)
             configs is a failed verification, recorded as such. *)
          ignore (send st chat (Humanizer.of_crash crash) ~note:"crash");
          false
-     | (Checked _ | Hand_checked _) as checked -> fst (stage_value checked))
+     | Checked (ok, _) | Hand_checked (ok, _) -> ok)
   in
   {
     inc_transcript = finish st (specs_hold && global_ok);

@@ -1,12 +1,19 @@
-(** The Verified Prompt Programming loops (Figure 3).
+(** The Verified Prompt Programming loop (Figure 3).
 
-    Both use cases share the shape: the LLM drafts, the verifier suite finds
-    problems in a fixed order (syntax, then structure/topology, then
-    semantics), the humanizer turns the first outstanding finding into an
-    automated prompt, and the loop repeats. A finding that survives
-    [stall_threshold] automated prompts escalates to a (simulated) human
-    prompt — the slow manual loop of Figure 2. Leverage is the ratio of
-    automated to human prompts. *)
+    One round loop serves every use case: the LLM drafts, the use case's
+    chain of verifier stages checks the draft, the humanizer turns the first
+    outstanding finding into an automated prompt, and the loop repeats until
+    the chain comes back clean or the prompt budget runs out. The chains run
+    in a fixed order — syntax, then structure (Campion for translation,
+    topology for no-transit), then semantics (Search Route Policies for
+    no-transit and incremental) — and the first stage with a finding ends
+    the round. A finding that survives [stall_threshold] automated prompts
+    escalates to a (simulated) human prompt — the slow manual loop of
+    Figure 2. Leverage is the ratio of automated to human prompts.
+
+    Every hardening layer (the resilience runtime, the adversary, the trust
+    ledger) lives in that one loop and in the stages it runs, so each use
+    case gets the same crash, stall, watchdog and delivery handling. *)
 
 open Policy
 
@@ -54,7 +61,7 @@ type transcript = {
 val leverage : transcript -> float
 (** [auto / human]. A transcript with zero human prompts has
     [Float.infinity] leverage when any automated prompt was sent and [0.]
-    otherwise (it never happens in the standard loops, which count the
+    otherwise (it never happens in the standard use cases, which count the
     initial task prompt as human — but summaries must not silently absorb
     the infinity; see {!Metrics.summarize}). *)
 
