@@ -406,10 +406,15 @@ let replay_dir dir =
     |> List.map (fun f ->
            let s = read_file (Filename.concat dir f) in
            let dialect = dialect_of_filename f in
+           let checker =
+             if starts_with "topology-" f || starts_with "promoted-topology-" f then
+               check_topology
+             else check dialect
+           in
            let escapes =
              List.map
                (fun v -> finalize ~minimize:false dialect ~seed:(-1) ~round:(-1) s v)
-               (check dialect s)
+               (checker s)
            in
            (f, escapes))
 
@@ -464,7 +469,7 @@ let promote ~dir escapes =
            [*.tmp] a crash can leave is invisible to [replay_dir] (no
            [.txt] suffix). The bucket is marked covered only on success,
            so a failed write retries on the campaign's next escape. *)
-        if Resilience.Store.write_atomic (Filename.concat dir name) e.minimized
+        if Durable.Store.write_atomic (Filename.concat dir name) e.minimized
         then begin
           Hashtbl.replace covered key ();
           Some (name, e)

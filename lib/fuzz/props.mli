@@ -76,7 +76,9 @@ val fuzz_loop : mode:Adversary.Llm.mode -> seed:int -> rate:float -> violation l
 
 val replay_dir : string -> (string * escape list) list
 (** Replay every [*.txt] file in a regression-corpus directory (files named
-    [junos-*] are parsed as Junos, everything else as Cisco). Promoted
+    [junos-*] are parsed as Junos, [topology-*] and [promoted-topology-*]
+    go through the topology-dictionary target, everything else is parsed
+    as Cisco). Promoted
     entries ([promoted-*] / [junos-promoted-*], see {!promote}) replay
     first — the youngest regressions fail the gate before budget goes to
     the long-stable seeds — each group sorted by filename. Missing

@@ -141,9 +141,13 @@ let check_from_json json ~router config =
   match Topology.of_json json with
   | Error e -> Error e
   | Ok topology -> (
-      match Topology.find_router topology router with
-      | None -> Error (Printf.sprintf "router %s not in topology dictionary" router)
-      | Some _ -> Ok (check topology ~router config))
+      (* [check] trusts the dictionary's own cross-references (a link
+         endpoint must name a listed router), so an inconsistent one is
+         rejected up front. *)
+      match (Topology.validate topology, Topology.find_router topology router) with
+      | Error errs, _ -> Error ("invalid topology dictionary: " ^ String.concat "; " errs)
+      | Ok (), None -> Error (Printf.sprintf "router %s not in topology dictionary" router)
+      | Ok (), Some _ -> Ok (check topology ~router config))
 
 let pp_finding ppf f =
   Format.fprintf ppf "[%s] %s" (kind_to_string f.kind) f.message

@@ -36,6 +36,8 @@ val check : Topology.t -> router:string -> Policy.Config_ir.t -> finding list
     topology. *)
 
 val check_from_json : Json.t -> router:string -> Policy.Config_ir.t -> (finding list, string) result
-(** Same, starting from the JSON dictionary itself. *)
+(** Same, starting from the JSON dictionary itself. [Error] when the JSON
+    is not a dictionary, fails {!Netcore.Topology.validate} (e.g. a link
+    names a router it does not list), or does not list [router]. *)
 
 val pp_finding : Format.formatter -> finding -> unit

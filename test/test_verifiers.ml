@@ -382,6 +382,31 @@ let test_topo_from_json () =
   | Ok fs -> Alcotest.failf "unexpected findings: %d" (List.length fs)
   | Error e -> Alcotest.fail e
 
+let test_topo_from_json_unlisted_link_router () =
+  (* A dictionary whose link names a router it does not list (the F1
+     fuzz gate's mutant: a router renamed, its links left alone) is
+     rejected as an [Error], not an exception out of the router lookup. *)
+  let rename = function
+    | Json.Obj fields when List.assoc_opt "name" fields = Some (Json.String "R3") ->
+        Json.Obj
+          (List.map (fun (k, v) -> if k = "name" then (k, Json.String "R9") else (k, v)) fields)
+    | j -> j
+  in
+  let json =
+    match Star.to_json star5 with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (function
+               | "routers", Json.List rs -> ("routers", Json.List (List.map rename rs))
+               | kv -> kv)
+             fields)
+    | j -> j
+  in
+  match Topoverify.Verifier.check_from_json json ~router:"R1" hub_correct with
+  | Error e -> check bool_t "names the unlisted router" true (contains ~sub:"R3" e)
+  | Ok _ -> Alcotest.fail "dictionary with a dangling link accepted"
+
 (* ------------------------------------------------------------------ *)
 (* Campion                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -515,6 +540,8 @@ let () =
           Alcotest.test_case "router id absent" `Quick test_topo_router_id_absent;
           Alcotest.test_case "no bgp process" `Quick test_topo_no_bgp_process;
           Alcotest.test_case "from json" `Quick test_topo_from_json;
+          Alcotest.test_case "from json, link to unlisted router" `Quick
+            test_topo_from_json_unlisted_link_router;
         ] );
       ( "campion",
         [
