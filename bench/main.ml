@@ -2544,29 +2544,29 @@ let d1_drill ~violation kind =
      rename the script performs. *)
   let w =
     in_fresh_dir (fun dir ->
-        Resilience.Diskchaos.install (Resilience.Diskchaos.make ~seed:0 ());
+        Durable.Diskchaos.install (Durable.Diskchaos.make ~seed:0 ());
         Fun.protect
-          ~finally:(fun () -> Resilience.Diskchaos.uninstall ())
+          ~finally:(fun () -> Durable.Diskchaos.uninstall ())
           (fun () ->
             kind.d_prefix ~dir ~k:n;
-            (Resilience.Diskchaos.stats ()).Resilience.Diskchaos.ops))
+            (Durable.Diskchaos.stats ()).Durable.Diskchaos.ops))
   in
   let recovered = ref 0 and resumed = ref 0 in
   for i = 0 to w - 1 do
     in_fresh_dir (fun dir ->
         Fun.protect
-          ~finally:(fun () -> Resilience.Diskchaos.uninstall ())
+          ~finally:(fun () -> Durable.Diskchaos.uninstall ())
           (fun () ->
-            Resilience.Diskchaos.install
-              (Resilience.Diskchaos.make ~crash_after:i ~seed:(1000 + i) ());
+            Durable.Diskchaos.install
+              (Durable.Diskchaos.make ~crash_after:i ~seed:(1000 + i) ());
             (match kind.d_prefix ~dir ~k:n with
             | () ->
                 violation
                   (Printf.sprintf
                      "%s: crash_after=%d: the script completed without crashing"
                      kind.d_name i)
-            | exception Resilience.Diskchaos.Crashed _ -> ());
-            Resilience.Diskchaos.uninstall ();
+            | exception Durable.Diskchaos.Crashed _ -> ());
+            Durable.Diskchaos.uninstall ();
             let got = kind.d_recover ~dir in
             if Array.exists (String.equal got) states then incr recovered
             else
@@ -2614,13 +2614,13 @@ let d1_corruption_sweep ~violation () =
       let bytes =
         String.concat ""
           (List.map
-             (fun j -> Resilience.Store.frame (Netcore.Json.to_string j))
+             (fun j -> Durable.Store.frame (Netcore.Json.to_string j))
              records)
       in
       let intact = List.map Netcore.Json.to_string records in
       let read_mutant tag s =
         Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s);
-        match Resilience.Store.read path with
+        match Durable.Store.read path with
         | recs, _ -> Some (List.map Netcore.Json.to_string recs)
         | exception e ->
             violation
@@ -2680,16 +2680,16 @@ let d1_promotion ~violation () =
   let dir = d1_tmp_dir () in
   Fun.protect
     ~finally:(fun () ->
-      Resilience.Diskchaos.uninstall ();
+      Durable.Diskchaos.uninstall ();
       d1_rm_rf dir)
     (fun () ->
       let target = Filename.concat dir "promoted-parse-Failure.txt" in
       let old_content = "interface OLD\n" and new_content = "interface NEW\n" in
-      Resilience.Diskchaos.install (Resilience.Diskchaos.make ~seed:0 ());
-      if not (Resilience.Store.write_atomic target new_content) then
+      Durable.Diskchaos.install (Durable.Diskchaos.make ~seed:0 ());
+      if not (Durable.Store.write_atomic target new_content) then
         violation "promotion: fault-free write_atomic failed";
-      let w = (Resilience.Diskchaos.stats ()).Resilience.Diskchaos.ops in
-      Resilience.Diskchaos.uninstall ();
+      let w = (Durable.Diskchaos.stats ()).Durable.Diskchaos.ops in
+      Durable.Diskchaos.uninstall ();
       Printf.printf "  corpus promotion: %d write point(s) per atomic replace\n" w;
       List.iter
         (fun pre_existing ->
@@ -2699,16 +2699,16 @@ let d1_promotion ~violation () =
             if pre_existing then
               Out_channel.with_open_bin target (fun oc ->
                   Out_channel.output_string oc old_content);
-            Resilience.Diskchaos.install
-              (Resilience.Diskchaos.make ~crash_after:i ~seed:(2000 + i) ());
-            (match Resilience.Store.write_atomic target new_content with
+            Durable.Diskchaos.install
+              (Durable.Diskchaos.make ~crash_after:i ~seed:(2000 + i) ());
+            (match Durable.Store.write_atomic target new_content with
             | ok ->
                 violation
                   (Printf.sprintf
                      "promotion: crash_after=%d completed (%b) without crashing" i
                      ok)
-            | exception Resilience.Diskchaos.Crashed _ -> ());
-            Resilience.Diskchaos.uninstall ();
+            | exception Durable.Diskchaos.Crashed _ -> ());
+            Durable.Diskchaos.uninstall ();
             let got = d1_file_bytes target in
             let valid =
               if pre_existing then
@@ -2723,7 +2723,7 @@ let d1_promotion ~violation () =
                    i
                    (if pre_existing then "present" else "absent")
                    got);
-            if not (Resilience.Store.write_atomic target new_content) then
+            if not (Durable.Store.write_atomic target new_content) then
               violation
                 (Printf.sprintf
                    "promotion: fault-off retry after crash point %d failed" i)
@@ -2752,13 +2752,13 @@ let d1_identity ~violation kind =
     let dir = d1_tmp_dir () in
     Fun.protect
       ~finally:(fun () ->
-        Resilience.Diskchaos.uninstall ();
+        Durable.Diskchaos.uninstall ();
         d1_rm_rf dir)
       (fun () ->
         if armed then
-          Resilience.Diskchaos.install (Resilience.Diskchaos.make ~seed:7 ());
+          Durable.Diskchaos.install (Durable.Diskchaos.make ~seed:7 ());
         kind.d_prefix ~dir ~k:kind.d_script_len;
-        Resilience.Diskchaos.uninstall ();
+        Durable.Diskchaos.uninstall ();
         dir_bytes dir)
   in
   if not (String.equal (run false) (run true)) then
@@ -2796,7 +2796,7 @@ let table_d1 () =
   d1_promotion ~violation ();
   d1_corruption_sweep ~violation ();
   Printf.printf "  corrupt lines skipped and counted so far: %d\n"
-    (Resilience.Store.corrupt_seen ());
+    (Durable.Store.corrupt_seen ());
   match List.rev !violations with
   | [] -> Printf.printf "\n  D1: every crash recovered, every corruption contained\n"
   | vs ->

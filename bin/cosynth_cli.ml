@@ -771,47 +771,47 @@ let disk_chaos_term =
   in
   Term.(
     const (fun short torn io_error enospc fsync_fail seed crash_after ->
-        Resilience.Diskchaos.make ~short_rate:short ~torn_rate:torn
+        Durable.Diskchaos.make ~short_rate:short ~torn_rate:torn
           ~io_error_rate:io_error ~enospc_rate:enospc
           ~fsync_fail_rate:fsync_fail ?crash_after ~seed ())
     $ short $ torn $ io_error $ enospc $ fsync_fail $ seed $ crash_after)
 
 let disk_chaos_arm disk =
-  if not (Resilience.Diskchaos.is_none disk) then begin
-    Resilience.Diskchaos.install disk;
-    Printf.eprintf "disk-chaos: armed: %s\n%!" (Resilience.Diskchaos.describe disk)
+  if not (Durable.Diskchaos.is_none disk) then begin
+    Durable.Diskchaos.install disk;
+    Printf.eprintf "disk-chaos: armed: %s\n%!" (Durable.Diskchaos.describe disk)
   end
 
 (* Stderr-only: the stdout of a faulted run that still completes must stay
    byte-identical to the fault-free run (the durable-smoke drills cmp it). *)
 let disk_chaos_footer disk =
-  if not (Resilience.Diskchaos.is_none disk) then begin
-    let s = Resilience.Diskchaos.stats () in
+  if not (Durable.Diskchaos.is_none disk) then begin
+    let s = Durable.Diskchaos.stats () in
     Printf.eprintf
       "disk-chaos: %d op(s): %d short, %d torn, %d io-error, %d enospc, %d \
        fsync-fail\n\
        %!"
-      s.Resilience.Diskchaos.ops s.Resilience.Diskchaos.shorts
-      s.Resilience.Diskchaos.torn s.Resilience.Diskchaos.io_errors
-      s.Resilience.Diskchaos.enospc s.Resilience.Diskchaos.fsync_failures
+      s.Durable.Diskchaos.ops s.Durable.Diskchaos.shorts
+      s.Durable.Diskchaos.torn s.Durable.Diskchaos.io_errors
+      s.Durable.Diskchaos.enospc s.Durable.Diskchaos.fsync_failures
   end
 
 (* The argv fragment reproducing a configuration in a child process (shard
    workers, the supervised serve daemon). *)
-let disk_chaos_args (d : Resilience.Diskchaos.config) =
+let disk_chaos_args (d : Durable.Diskchaos.config) =
   let rate flag r =
     if r > 0. then [ flag; Printf.sprintf "%g" r ] else []
   in
-  rate "--disk-short-rate" d.Resilience.Diskchaos.short_rate
-  @ rate "--disk-torn-rate" d.Resilience.Diskchaos.torn_rate
-  @ rate "--disk-io-error-rate" d.Resilience.Diskchaos.io_error_rate
-  @ rate "--disk-enospc-rate" d.Resilience.Diskchaos.enospc_rate
-  @ rate "--disk-fsync-fail-rate" d.Resilience.Diskchaos.fsync_fail_rate
-  @ (if d.Resilience.Diskchaos.seed <> 0 then
-       [ "--disk-seed"; string_of_int d.Resilience.Diskchaos.seed ]
+  rate "--disk-short-rate" d.Durable.Diskchaos.short_rate
+  @ rate "--disk-torn-rate" d.Durable.Diskchaos.torn_rate
+  @ rate "--disk-io-error-rate" d.Durable.Diskchaos.io_error_rate
+  @ rate "--disk-enospc-rate" d.Durable.Diskchaos.enospc_rate
+  @ rate "--disk-fsync-fail-rate" d.Durable.Diskchaos.fsync_fail_rate
+  @ (if d.Durable.Diskchaos.seed <> 0 then
+       [ "--disk-seed"; string_of_int d.Durable.Diskchaos.seed ]
      else [])
   @
-  match d.Resilience.Diskchaos.crash_after with
+  match d.Durable.Diskchaos.crash_after with
   | Some n -> [ "--disk-crash-after"; string_of_int n ]
   | None -> []
 
@@ -820,7 +820,7 @@ let disk_chaos_args (d : Resilience.Diskchaos.config) =
    finalizers on the way out have closed every journal handle. *)
 let exit_on_disk_crash f =
   try f ()
-  with Resilience.Diskchaos.Crashed what ->
+  with Durable.Diskchaos.Crashed what ->
     Printf.eprintf "disk-chaos: simulated crash during %s\n%!" what;
     exit 3
 
@@ -1002,7 +1002,7 @@ let chaos_cmd =
               (* A simulated disk crash is a process death, not a sweep
                  abort: let it reach the exit-3 handler (the protecting
                  finalizers close the journal and ledger on the way). *)
-              | Resilience.Diskchaos.Crashed _ as c -> raise c
+              | Durable.Diskchaos.Crashed _ as c -> raise c
               | e -> ([], Some e)))
     in
     disk_chaos_footer disk;
@@ -2660,10 +2660,10 @@ let triage_cmd =
 
 let fsck_cmd =
   let run file lww compact =
-    let records, stats = Resilience.Store.read file in
+    let records, stats = Durable.Store.read file in
     Printf.printf "%s: lines=%d ok=%d corrupt=%d legacy=%d\n" file
-      stats.Resilience.Store.lines stats.Resilience.Store.ok
-      stats.Resilience.Store.corrupt stats.Resilience.Store.legacy;
+      stats.Durable.Store.lines stats.Durable.Store.ok
+      stats.Durable.Store.corrupt stats.Durable.Store.legacy;
     (if lww then begin
        (* Checkpoint-journal semantics: one surviving record per seed.
           Records without the {"seed", "summary"} envelope (e.g. triage
@@ -2673,14 +2673,14 @@ let fsck_cmd =
          dropped kept
      end
      else if compact then
-       if Resilience.Store.rewrite file records then
+       if Durable.Store.rewrite file records then
          Printf.printf "compacted: %d record(s) kept, corruption dropped\n"
            (List.length records)
        else Printf.printf "compaction failed; file untouched\n");
     (* Nonzero exactly when corruption was observed, so scripts can gate
        on a clean store — compaction repairs the file but the exit code
        still reports what was found. *)
-    if stats.Resilience.Store.corrupt = 0 then 0 else 1
+    if stats.Durable.Store.corrupt = 0 then 0 else 1
   in
   let lww =
     Arg.(

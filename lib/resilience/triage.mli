@@ -6,7 +6,7 @@
     append-only JSONL file (one object per (stage, constructor) bucket per
     call, tagged with the run's seed); [load] merges the whole history back
     into per-bucket rows with counts summed and the first/last seed that
-    observed each bucket. Rows ride {!Store} — CRC-framed and fsync'd
+    observed each bucket. Rows ride {!Durable.Store} — CRC-framed and fsync'd
     before [append] returns, so a crash immediately after a counted
     crash cannot lose its triage row — and the format stays line-oriented
     on purpose: a writer that dies mid-line loses only that line, and

@@ -425,7 +425,7 @@ let test_checkpoint_framing () =
           check bool_t "header separators" true (l.[8] = ' ' && l.[17] = ' ');
           let payload = String.sub l 18 (String.length l - 18) in
           check bool_t "framed line decodes as Ok" true
-            (match Resilience.Store.decode_line l with
+            (match Durable.Store.decode_line l with
             | `Ok j -> Netcore.Json.to_string j = payload
             | _ -> false))
         lines;
@@ -463,9 +463,9 @@ let test_checkpoint_legacy_loads () =
       let dropped, kept = Exec.Checkpoint.compact path in
       check int_t "superseded legacy line dropped" 1 dropped;
       check int_t "three seeds kept" 3 kept;
-      let _, stats = Resilience.Store.read path in
+      let _, stats = Durable.Store.read path in
       check int_t "compaction leaves no legacy lines" 0
-        stats.Resilience.Store.legacy;
+        stats.Durable.Store.legacy;
       check bool_t "post-compact load merges both eras" true
         (* Completion order: seed 1's superseding record is the youngest. *)
         (Exec.Checkpoint.load path
@@ -476,8 +476,8 @@ let test_checkpoint_legacy_loads () =
       let oc = open_out_gen [ Open_append ] 0o644 path in
       output_string oc "0000001\n";
       close_out oc;
-      let _, stats = Resilience.Store.read path in
-      check int_t "bare scalar counted corrupt" 1 stats.Resilience.Store.corrupt;
+      let _, stats = Durable.Store.read path in
+      check int_t "bare scalar counted corrupt" 1 stats.Durable.Store.corrupt;
       check int_t "no phantom record" 3 (List.length (Exec.Checkpoint.load path)))
 
 let test_checkpoint_torn_tail_sealed () =
@@ -499,9 +499,9 @@ let test_checkpoint_torn_tail_sealed () =
       check bool_t "both good seeds load" true
         (List.assoc 1 entries = Netcore.Json.Int 10
         && List.assoc 2 entries = Netcore.Json.Int 20);
-      let _, stats = Resilience.Store.read path in
+      let _, stats = Durable.Store.read path in
       check int_t "torn line isolated and counted" 1
-        stats.Resilience.Store.corrupt)
+        stats.Durable.Store.corrupt)
 
 let test_sweep_journal_resume () =
   with_temp (fun path ->

@@ -582,7 +582,7 @@ let with_store_temp f =
   let path = Filename.temp_file "cosynth_store_" ".jsonl" in
   Fun.protect
     ~finally:(fun () ->
-      Resilience.Diskchaos.uninstall ();
+      Durable.Diskchaos.uninstall ();
       try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
@@ -599,62 +599,62 @@ let test_store_roundtrip () =
       let records =
         List.init 5 (fun i -> Netcore.Json.Obj [ ("i", Netcore.Json.Int i) ])
       in
-      let t = Resilience.Store.open_ ~truncate:true path in
+      let t = Durable.Store.open_ ~truncate:true path in
       List.iter
-        (fun j -> check bool_t "append durable" true (Resilience.Store.append t j))
+        (fun j -> check bool_t "append durable" true (Durable.Store.append t j))
         records;
-      Resilience.Store.close t;
-      let got, stats = Resilience.Store.read path in
+      Durable.Store.close t;
+      let got, stats = Durable.Store.read path in
       check bool_t "round trip" true (got = records);
-      check int_t "all ok" 5 stats.Resilience.Store.ok;
-      check int_t "no corruption" 0 stats.Resilience.Store.corrupt;
-      check int_t "no legacy" 0 stats.Resilience.Store.legacy)
+      check int_t "all ok" 5 stats.Durable.Store.ok;
+      check int_t "no corruption" 0 stats.Durable.Store.corrupt;
+      check int_t "no legacy" 0 stats.Durable.Store.legacy)
 
 let test_diskchaos_deterministic () =
-  let cfg = Resilience.Diskchaos.make ~torn_rate:0.3 ~io_error_rate:0.2 ~seed:11 () in
+  let cfg = Durable.Diskchaos.make ~torn_rate:0.3 ~io_error_rate:0.2 ~seed:11 () in
   let fates cfg =
-    Resilience.Diskchaos.install cfg;
+    Durable.Diskchaos.install cfg;
     let fs =
       List.init 20 (fun i ->
-          Resilience.Diskchaos.write_fate ~path:"/x/a" ~len:(40 + i))
+          Durable.Diskchaos.write_fate ~path:"/x/a" ~len:(40 + i))
     in
-    Resilience.Diskchaos.uninstall ();
+    Durable.Diskchaos.uninstall ();
     fs
   in
   check bool_t "same config, same fates" true (fates cfg = fates cfg);
   check bool_t "different seed, different fates" true
     (fates cfg
-    <> fates (Resilience.Diskchaos.make ~torn_rate:0.3 ~io_error_rate:0.2 ~seed:12 ()));
+    <> fates (Durable.Diskchaos.make ~torn_rate:0.3 ~io_error_rate:0.2 ~seed:12 ()));
   check bool_t "none is none" true
-    (Resilience.Diskchaos.is_none Resilience.Diskchaos.none);
+    (Durable.Diskchaos.is_none Durable.Diskchaos.none);
   (* Disarmed: the fast path neither injects nor counts. Installing the
      all-zero config injects nothing but counts every operation — how the
      D1 gate measures a run's write-point schedule. *)
   check bool_t "disarmed fast path" true
-    (Resilience.Diskchaos.write_fate ~path:"/x/a" ~len:100
-    = Resilience.Diskchaos.Write_all);
-  Resilience.Diskchaos.install Resilience.Diskchaos.none;
-  ignore (Resilience.Diskchaos.write_fate ~path:"/x/a" ~len:10);
-  ignore (Resilience.Diskchaos.fsync_fate ~path:"/x/a");
-  let st = Resilience.Diskchaos.stats () in
-  Resilience.Diskchaos.uninstall ();
-  check int_t "armed zero-rate config counts ops" 2 st.Resilience.Diskchaos.ops;
+    (Durable.Diskchaos.write_fate ~path:"/x/a" ~len:100
+    = Durable.Diskchaos.Write_all);
+  Durable.Diskchaos.install Durable.Diskchaos.none;
+  ignore (Durable.Diskchaos.write_fate ~path:"/x/a" ~len:10);
+  ignore (Durable.Diskchaos.fsync_fate ~path:"/x/a");
+  let st = Durable.Diskchaos.stats () in
+  Durable.Diskchaos.uninstall ();
+  check int_t "armed zero-rate config counts ops" 2 st.Durable.Diskchaos.ops;
   check int_t "but injects nothing" 0
-    (st.Resilience.Diskchaos.shorts + st.Resilience.Diskchaos.torn
-    + st.Resilience.Diskchaos.io_errors + st.Resilience.Diskchaos.enospc
-    + st.Resilience.Diskchaos.fsync_failures + st.Resilience.Diskchaos.crashes)
+    (st.Durable.Diskchaos.shorts + st.Durable.Diskchaos.torn
+    + st.Durable.Diskchaos.io_errors + st.Durable.Diskchaos.enospc
+    + st.Durable.Diskchaos.fsync_failures + st.Durable.Diskchaos.crashes)
 
 let test_triage_kill_mid_append () =
   with_store_temp (fun path ->
       let rows = [ ("parse", "Failure", 2); ("synth", "Timeout", 1) ] in
       (* Each row is one write + one fsync; crash_after 2 lets row 1 land
          durably and kills the process inside row 2's write. *)
-      Resilience.Diskchaos.install
-        (Resilience.Diskchaos.make ~crash_after:2 ~seed:1 ());
+      Durable.Diskchaos.install
+        (Durable.Diskchaos.make ~crash_after:2 ~seed:1 ());
       (match Resilience.Triage.append ~path ~seed:5 rows with
       | () -> Alcotest.fail "expected the injected crash"
-      | exception Resilience.Diskchaos.Crashed _ -> ());
-      Resilience.Diskchaos.uninstall ();
+      | exception Durable.Diskchaos.Crashed _ -> ());
+      Durable.Diskchaos.uninstall ();
       let survived = Resilience.Triage.load path in
       check int_t "only the fsync'd prefix row survives" 1 (List.length survived);
       (match survived with
@@ -737,7 +737,7 @@ let prop_store_read_total_under_corruption =
       let intact = List.map Netcore.Json.to_string records in
       let bytes =
         String.concat ""
-          (List.map (fun j -> Resilience.Store.frame (Netcore.Json.to_string j)) records)
+          (List.map (fun j -> Durable.Store.frame (Netcore.Json.to_string j)) records)
       in
       let mutated =
         if truncate then String.sub bytes 0 (site mod (String.length bytes + 1))
@@ -755,7 +755,7 @@ let prop_store_read_total_under_corruption =
           let oc = open_out_bin path in
           output_string oc mutated;
           close_out oc;
-          let got, _ = Resilience.Store.read path in
+          let got, _ = Durable.Store.read path in
           let got = List.map Netcore.Json.to_string got in
           let rec is_prefix a b =
             match (a, b) with
@@ -779,9 +779,9 @@ let prop_store_roundtrip_identity =
         Netcore.Json.Obj
           [ ("a", Netcore.Json.Int a); ("b", Netcore.Json.Int b) ]
       in
-      let line = Resilience.Store.frame (Netcore.Json.to_string j) in
+      let line = Durable.Store.frame (Netcore.Json.to_string j) in
       match
-        Resilience.Store.decode_line (String.sub line 0 (String.length line - 1))
+        Durable.Store.decode_line (String.sub line 0 (String.length line - 1))
       with
       | `Ok j' -> j' = j
       | _ -> false)
