@@ -1,4 +1,4 @@
-.PHONY: all build test check bench chaos fuzz adversary adversary-verifier-smoke adversary-collusion-smoke serve-bench resume-smoke shard-smoke serve-smoke serve-overload-smoke durable durable-smoke perf clean
+.PHONY: all build test check bench chaos fuzz adversary adversary-verifier-smoke adversary-collusion-smoke serve-bench resume-smoke shard-smoke serve-smoke serve-overload-smoke durable durable-smoke perf loc clean
 
 all: build
 
@@ -276,6 +276,15 @@ durable-smoke: build
 	  wait $$pid; test $$ok -eq 0'
 	@rm -rf $(DURABLE_TMP)
 	@echo "durable-smoke: disk crashes recovered, torn writes contained, shards respawned, ledger survived, truncated reload rejected"
+
+# Lines of .ml source in lib, bin and bench, and their total: the measure
+# for ROADMAP item 3's "net lines removed" goal.
+LOC_DIRS := lib bin bench
+loc:
+	@for d in $(LOC_DIRS); do \
+	  printf '%-6s %6d\n' $$d $$(find $$d -name '*.ml' -exec cat {} + | wc -l); \
+	done
+	@printf '%-6s %6d\n' total $$(find $(LOC_DIRS) -name '*.ml' -exec cat {} + | wc -l)
 
 clean:
 	dune clean
