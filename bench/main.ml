@@ -157,8 +157,8 @@ type sweep_report =
 
 (* Run a seeded sweep twice — sequentially and on the pool — check the
    transcripts are byte-identical (determinism is the acceptance bar), and
-   report both timings. The memo cache is cleared before each pass so the
-   hit rates and wall clocks are comparable.
+   report both timings. The parse memo and the Campion cache are cleared
+   before each pass so the hit rates and wall clocks are comparable.
 
    Under --journal the sweep instead runs once, pooled, checkpointing each
    completed seed to its own journal file (and replaying recorded seeds
@@ -168,6 +168,7 @@ let determinism_sweep ~name ~seeds run =
   match journal_dir with
   | Some dir ->
       Exec.Memo.reset ();
+      Campion.Differ.reset_cache ();
       let j = transcript_journal dir name in
       let replayed = List.length (Exec.Sweep.journaled_seeds j) in
       let ts, perf =
@@ -179,11 +180,13 @@ let determinism_sweep ~name ~seeds run =
       (ts, Journaled { replayed; fresh = List.length seeds - replayed; perf })
   | None ->
       Exec.Memo.reset ();
+      Campion.Differ.reset_cache ();
       let seq, seq_perf =
         Cosynth.Metrics.measure (fun () ->
             Exec.Sweep.run_seeds ~seeds (fun seed -> run ?pool:None seed))
       in
       Exec.Memo.reset ();
+      Campion.Differ.reset_cache ();
       let par, par_perf =
         Cosynth.Metrics.measure ~pool (fun () ->
             Exec.Sweep.run_seeds ~pool ~seeds (fun seed -> run ?pool:(Some pool) seed))
@@ -744,6 +747,7 @@ let table_c1 () =
         List.filter_map Fun.id out
   in
   Exec.Memo.reset ();
+  Campion.Differ.reset_cache ();
   let (rows, crash_rows, identical), perf =
     Cosynth.Metrics.measure (fun () ->
         let rows =
@@ -1126,6 +1130,7 @@ let table_s1 () =
         List.map
           (fun seed ->
             Exec.Memo.reset ();
+            Campion.Differ.reset_cache ();
             let p = Exec.Pool.create ~domains:2 () in
             let r = Cosynth.Driver.run_no_transit ~seed ~pool:p ~routers:5 () in
             Exec.Pool.shutdown p;
@@ -1135,6 +1140,7 @@ let table_s1 () =
   (* Warm: the same jobs through an in-process Exec.Serve daemon on a real
      Unix socket — one shared pool, one persistent memo, one connection. *)
   Exec.Memo.reset ();
+  Campion.Differ.reset_cache ();
   let dir = Filename.temp_file "cosynth_s1_" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
@@ -1617,6 +1623,10 @@ let perf_tests () =
       (Staged.stage (fun () ->
            ignore (Juniper.Printer.print (Juniper.Translate.of_cisco_ir border_ir))));
     Test.make ~name:"campion/compare"
+      (Staged.stage (fun () ->
+           Campion.Differ.reset_cache ();
+           ignore (Campion.Differ.compare ~original:border_ir ~translation:corrupted)));
+    Test.make ~name:"campion/compare-warm"
       (Staged.stage (fun () ->
            ignore (Campion.Differ.compare ~original:border_ir ~translation:corrupted)));
     Test.make ~name:"batfish/bgp-sim-star5"

@@ -255,6 +255,90 @@ let attribute_findings ~original ~translation =
   List.rev !fs
 
 (* ------------------------------------------------------------------ *)
+(* Content-keyed cache                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The VPP loop re-checks the draft after every prompt, and a round
+   usually changes one stanza, so the same normalisation and the same
+   policy and ACL pairs come back round after round. All three steps are
+   pure, so each is memoized on its whole input. A map pair is keyed on
+   both sides' whole environments, not only the lists the maps reference:
+   witnesses are decorated with communities from every community list.
+   The tables sit below the [Resilience.Suite] wrappers, so chaos and lies
+   never reach them. *)
+module Content_key (T : sig
+  type t
+end) =
+struct
+  type t = T.t
+
+  let equal = ( = )
+  let hash = Memo_table.content_hash
+end
+
+module Normalized =
+  Memo_table.Make
+    (Content_key (Config_ir))
+    (struct
+      type t = Config_ir.t
+
+      let max_entries = 256
+    end)
+
+module Map_diffs =
+  Memo_table.Make
+    (Content_key (struct
+      type t = Eval.env * Route_map.t * Eval.env * Route_map.t
+    end))
+    (struct
+      type t = Symbolic.Policy_diff.difference list
+
+      let max_entries = 4096
+    end)
+
+module Acl_diffs =
+  Memo_table.Make
+    (Content_key (struct
+      type t = Acl.t * Acl.t
+    end))
+    (struct
+      type t = Symbolic.Acl_diff.difference list
+
+      let max_entries = 4096
+    end)
+
+let diff_maps (env_o, m_o, env_t, m_t) =
+  Symbolic.Policy_diff.compare_maps ~env_a:env_o ~env_b:env_t m_o m_t
+
+let diff_acls (acl_o, acl_t) = Symbolic.Acl_diff.compare_acls acl_o acl_t
+
+let normalize original =
+  Normalized.memo original (fun () -> Juniper.Translate.of_cisco_ir original)
+
+let compare_maps key = Map_diffs.memo key (fun () -> diff_maps key)
+let compare_acls key = Acl_diffs.memo key (fun () -> diff_acls key)
+
+let reset_cache () =
+  Normalized.reset ();
+  Map_diffs.reset ();
+  Acl_diffs.reset ()
+
+let audit_cache () =
+  let check name fresh fold =
+    fold
+      (fun key cached acc ->
+        match acc with
+        | Error _ -> acc
+        | Ok n -> if fresh key = cached then Ok (n + 1) else Error name)
+      (Ok 0)
+  in
+  let ( let* ) = Result.bind in
+  let* a = check "normalisation" Juniper.Translate.of_cisco_ir Normalized.fold in
+  let* b = check "policy diff" diff_maps Map_diffs.fold in
+  let* c = check "ACL diff" diff_acls Acl_diffs.fold in
+  Ok (a + b + c)
+
+(* ------------------------------------------------------------------ *)
 (* Behavior comparison                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -271,7 +355,7 @@ let behavior_findings ~original ~translation =
   let fs = ref [] in
   let compare_policies direction neighbor name_o name_t =
     let m_o = policy_of original name_o and m_t = policy_of translation name_t in
-    let diffs = Symbolic.Policy_diff.compare_maps ~env_a:env_o ~env_b:env_t m_o m_t in
+    let diffs = compare_maps (env_o, m_o, env_t, m_t) in
     List.iter
       (fun (d : Symbolic.Policy_diff.difference) ->
         match d.Symbolic.Policy_diff.example with
@@ -346,8 +430,7 @@ let acl_findings ~original ~translation =
                           translated_packet_action = d.Symbolic.Acl_diff.action_b;
                         }
                       :: !fs)
-                  (Symbolic.Acl_diff.compare_acls (acl_of original name_o)
-                     (acl_of translation name_t))
+                  (compare_acls (acl_of original name_o, acl_of translation name_t))
             | _ -> ()
           in
           compare_attached Import i.Config_ir.acl_in i'.Config_ir.acl_in;
@@ -362,7 +445,7 @@ let acl_findings ~original ~translation =
 let compare ~original ~translation =
   (* Normalize the Cisco side so redistribution, OSPF area membership and
      default costs are expressed the same way on both sides. *)
-  let original = Juniper.Translate.of_cisco_ir original in
+  let original = normalize original in
   structural_findings ~original ~translation
   @ attribute_findings ~original ~translation
   @ behavior_findings ~original ~translation

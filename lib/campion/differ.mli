@@ -82,6 +82,31 @@ val compare : original:Config_ir.t -> translation:Config_ir.t -> finding list
 
 val equivalent : original:Config_ir.t -> translation:Config_ir.t -> bool
 
+(** {2 Cache}
+
+    {!compare} memoizes its three expensive, pure steps: the normalisation
+    of the original, each route-map pair's symbolic diff and each ACL
+    pair's symbolic diff. Keys are {e content}: the whole original IR; both
+    sides' whole environments plus the two maps; the two ACLs. They are
+    compared with [=] and hashed over their whole structure
+    ({!Netcore.Memo_table.content_hash}). Findings are still assembled
+    fresh on every call, so a cached call returns exactly what an uncached
+    one would.
+
+    The tables are process-wide, mutex-guarded and bounded (instances of
+    {!Netcore.Memo_table.Make}, FIFO-evicting an eighth at the cap). They
+    hold only honest results: the chaos and lie wrappers of
+    [Resilience.Suite] sit above {!compare}, never below it. *)
+
+val reset_cache : unit -> unit
+(** Drop every cached entry and zero the counters. Benchmarks call it to
+    time cold work, tests to compare cached against fresh results. *)
+
+val audit_cache : unit -> (int, string) result
+(** Recompute every live entry without the cache: [Ok n] when all [n]
+    agree with their cached value, [Error table] naming the first table
+    holding an entry that does not. *)
+
 val direction_to_string : direction -> string
 val finding_to_string : finding -> string
 val pp_finding : Format.formatter -> finding -> unit

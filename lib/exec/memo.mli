@@ -7,7 +7,7 @@
     be memoized on [(dialect, text)]. The cache is shared across domains
     and guarded by a mutex; parse work happens outside the lock (a
     concurrent duplicate parse is harmless — both compute the same
-    value). *)
+    value). It is one instance of {!Netcore.Memo_table.Make}. *)
 
 val check :
   Batfish.Parse_check.dialect ->
@@ -27,17 +27,13 @@ val check_result :
     never be memoized as truth. A bypassed failure still counts as a miss
     in {!stats}. *)
 
-type stats = {
+type stats = Netcore.Memo_table.stats = {
   hits : int;
   misses : int;
   entries : int;
   evictions : int;
-      (** Entries dropped by the bounded cap. When the table reaches its
-          cap, the {e oldest eighth} of the entries is evicted (FIFO batch)
-          rather than the whole table — a long-lived warm process (a
-          multi-day sweep, the [cosynth serve] daemon) keeps most of its
-          working set hot across the boundary instead of restarting from a
-          0% hit rate. *)
+      (** Entries dropped by the bounded cap (see {!Netcore.Memo_table}):
+          the oldest eighth goes when the table is full. *)
 }
 
 val stats : unit -> stats

@@ -382,6 +382,137 @@ let prop_as_path_round_trip =
       let p = As_path.of_list l in
       As_path.of_string (As_path.to_string p) = Some p)
 
+(* ------------------------------------------------------------------ *)
+(* Memo_table                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Each test instantiates its own table: the tables are module-level
+   state. *)
+module Int_key = struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end
+
+let test_memo_table_eviction () =
+  let module T =
+    Memo_table.Make
+      (Int_key)
+      (struct
+        type t = int
+
+        let max_entries = 16
+      end)
+  in
+  let computed = ref 0 in
+  let get k =
+    T.memo k (fun () ->
+        incr computed;
+        k * 10)
+  in
+  for k = 0 to 15 do
+    ignore (get k)
+  done;
+  let s = T.stats () in
+  check int_t "full, nothing evicted" 16 s.Memo_table.entries;
+  check int_t "no evictions yet" 0 s.Memo_table.evictions;
+  ignore (get 16);
+  let s = T.stats () in
+  check int_t "the oldest eighth (2) evicted" 2 s.Memo_table.evictions;
+  check int_t "entries after the batch" 15 s.Memo_table.entries;
+  check (Alcotest.list int_t) "survivors, oldest first" (List.init 15 (fun i -> i + 2))
+    (List.rev (T.fold (fun k _ acc -> k :: acc) []));
+  let before = !computed in
+  check int_t "survivor value" 20 (get 2);
+  check int_t "survivor is a hit" before !computed;
+  check int_t "evicted value recomputed" 0 (get 0);
+  check int_t "evicted key is a miss" (before + 1) !computed
+
+let test_memo_table_success_only () =
+  let module T =
+    Memo_table.Make
+      (Int_key)
+      (struct
+        type t = string
+
+        let max_entries = 8
+      end)
+  in
+  (match T.find_or_compute 1 (fun () -> Error "flake") with
+  | Error "flake" -> ()
+  | _ -> Alcotest.fail "the error is passed through");
+  (try ignore (T.memo 1 (fun () -> failwith "crash")) with Failure _ -> ());
+  let s = T.stats () in
+  check int_t "failures store nothing" 0 s.Memo_table.entries;
+  check int_t "failures count as misses" 2 s.Memo_table.misses;
+  (match T.find_or_compute 1 (fun () -> Ok "one") with
+  | Ok "one" -> ()
+  | _ -> Alcotest.fail "ok result returned");
+  (match T.find_or_compute 1 (fun () -> Error "not run") with
+  | Ok "one" -> ()
+  | _ -> Alcotest.fail "cached ok wins over a later failure");
+  check int_t "one hit" 1 (T.stats ()).Memo_table.hits
+
+let test_memo_table_scope () =
+  let module T =
+    Memo_table.Make
+      (Int_key)
+      (struct
+        type t = int
+
+        let max_entries = 64
+      end)
+  in
+  let get k = T.memo k (fun () -> k) in
+  List.iter (fun k -> ignore (get k)) [ 1; 2; 3 ];
+  let outer = T.scope () in
+  List.iter (fun k -> ignore (get k)) [ 1; 2; 4 ];
+  let inner = T.scope () in
+  List.iter (fun k -> ignore (get k)) [ 4; 5 ];
+  let so = T.scope_stats outer and si = T.scope_stats inner in
+  check (Alcotest.pair int_t int_t) "outer deltas" (3, 2) (so.Memo_table.hits, so.Memo_table.misses);
+  check (Alcotest.pair int_t int_t) "inner deltas" (1, 1) (si.Memo_table.hits, si.Memo_table.misses);
+  check int_t "entries are current" 5 si.Memo_table.entries;
+  check bool_t "hit rate over the whole table" true
+    (abs_float (Memo_table.hit_rate (T.stats ()) -. (3. /. 8.)) < 1e-9);
+  T.reset_stats ();
+  let s = T.stats () in
+  check int_t "counters zeroed" 0 (s.Memo_table.hits + s.Memo_table.misses);
+  check int_t "entries survive reset_stats" 5 s.Memo_table.entries;
+  T.reset ();
+  check int_t "reset drops entries" 0 (T.stats ()).Memo_table.entries
+
+let test_memo_table_two_domains () =
+  let module T =
+    Memo_table.Make
+      (Int_key)
+      (struct
+        type t = int
+
+        let max_entries = 4096
+      end)
+  in
+  let n = 2000 in
+  let worker () = List.init n (fun k -> T.memo k (fun () -> k * k)) in
+  let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  let want = List.init n (fun k -> k * k) in
+  check bool_t "both domains see correct values" true (r1 = want && r2 = want);
+  let s = T.stats () in
+  check int_t "every lookup counted" (2 * n) (s.Memo_table.hits + s.Memo_table.misses);
+  check int_t "each key stored once" n s.Memo_table.entries;
+  check int_t "eviction queue in lockstep" n (T.fold (fun _ _ c -> c + 1) 0)
+
+let test_memo_table_content_hash () =
+  let a = List.init 100 Fun.id in
+  let b = List.init 100 (fun i -> if i = 99 then -1 else i) in
+  check bool_t "plain hash stops early" true (Hashtbl.hash a = Hashtbl.hash b);
+  check bool_t "content hash sees the last element" false
+    (Memo_table.content_hash a = Memo_table.content_hash b);
+  check int_t "equal structures hash equally" (Memo_table.content_hash a)
+    (Memo_table.content_hash (List.rev (List.rev a)))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -458,6 +589,14 @@ let () =
           Alcotest.test_case "describe" `Quick test_topology_describe;
           Alcotest.test_case "invalid size" `Quick test_star_invalid_size;
           Alcotest.test_case "validate catches bad AS" `Quick test_topology_validate_catches;
+        ] );
+      ( "memo-table",
+        [
+          Alcotest.test_case "evicts the oldest eighth" `Quick test_memo_table_eviction;
+          Alcotest.test_case "success-only" `Quick test_memo_table_success_only;
+          Alcotest.test_case "scoped stats" `Quick test_memo_table_scope;
+          Alcotest.test_case "two domains" `Quick test_memo_table_two_domains;
+          Alcotest.test_case "content hash" `Quick test_memo_table_content_hash;
         ] );
       ("properties", props);
     ]

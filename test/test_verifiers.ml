@@ -503,6 +503,130 @@ let test_campion_structural_masks_nothing_on_equal () =
     (Campion.Differ.equivalent ~original:border_ir
        ~translation:(reparse_junos correct_translation))
 
+(* ------------------------------------------------------------------ *)
+(* Campion cache                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The differ memoizes normalisation and the per-pair symbolic diffs. A
+   cached call must return exactly what a call after [reset_cache] does,
+   and every live entry must match a fresh recompute — also after runs
+   whose verifiers lie or crash, which shows the cache sits below those
+   wrappers. *)
+
+let audit_clean what =
+  match Campion.Differ.audit_cache () with
+  | Ok n -> check bool_t (what ^ ": entries audited") true (n > 0)
+  | Error table -> Alcotest.failf "%s: a cached %s entry differs from a fresh one" what table
+
+let compare_warm_and_cold ~original ~translation =
+  let run () =
+    try Ok (Campion.Differ.compare ~original ~translation)
+    with e -> Error (Printexc.to_string e)
+  in
+  let warm = run () in
+  Campion.Differ.reset_cache ();
+  warm = run ()
+
+let translation_outputs (_, resilience, adversary, trust) seed =
+  let r =
+    Cosynth.Driver.run_translation ~seed ?resilience ?adversary ?trust
+      ~cisco_text:Cisco.Samples.border_router ()
+  in
+  ( Json.to_string (Cosynth.Driver.transcript_to_json r.Cosynth.Driver.transcript),
+    r.Cosynth.Driver.final_text,
+    r.Cosynth.Driver.verified )
+
+let test_cache_translation ((name, _, _, _) as setting) () =
+  let seeds = List.init 20 (fun i -> i + 1) in
+  (* Cold: every run starts from an empty cache. *)
+  let cold =
+    List.map
+      (fun seed ->
+        Campion.Differ.reset_cache ();
+        translation_outputs setting seed)
+      seeds
+  in
+  (* Warm: one cache across all twenty runs. *)
+  Campion.Differ.reset_cache ();
+  let warm = List.map (translation_outputs setting) seeds in
+  List.iter2
+    (fun seed (c, w) -> check bool_t (Printf.sprintf "%s seed %d" name seed) true (c = w))
+    seeds
+    (List.combine cold warm);
+  audit_clean name
+
+let test_cache_fuzz_corpus () =
+  Campion.Differ.reset_cache ();
+  let corpus = Fuzz.Corpus.texts Fuzz.Corpus.Junos in
+  let mutants =
+    List.init 60 (fun round -> Fuzz.Mutator.mutant ~seed:14 ~round ~corpus)
+  in
+  let reference = Fuzz.Corpus.reference_ir Fuzz.Corpus.Junos in
+  let border = fst (Cisco.Parser.parse Cisco.Samples.border_router) in
+  List.iteri
+    (fun i text ->
+      let ir = fst (Juniper.Parser.parse text) in
+      (* Warm the tables with neighbouring inputs before each check. *)
+      ignore (Campion.Differ.compare ~original:border ~translation:reference);
+      check bool_t (Printf.sprintf "corpus text %d against the original" i) true
+        (compare_warm_and_cold ~original:border ~translation:ir);
+      check bool_t (Printf.sprintf "corpus text %d as the original" i) true
+        (compare_warm_and_cold ~original:ir ~translation:reference))
+    (corpus @ mutants);
+  (* Fill the tables with the whole corpus, then audit every entry. *)
+  List.iter
+    (fun text ->
+      ignore
+        (Campion.Differ.compare ~original:border
+           ~translation:(fst (Juniper.Parser.parse text))))
+    (corpus @ mutants);
+  audit_clean "fuzz corpus"
+
+(* Two translations whose environments differ only in a community list no
+   map references. The witness decoration draws on every community list,
+   so here the unreferenced list changes the example route: a cache keyed
+   on the referenced lists alone would return the other pair's finding. *)
+let test_cache_unreferenced_community_list () =
+  let config ~extra =
+    fst
+      (Cisco.Parser.parse
+         (String.concat "\n"
+            ((if extra then [ "ip community-list standard UNUSED permit 200:2" ] else [])
+            @ [
+                "ip community-list standard DEL permit 200:1";
+                "ip community-list standard DEL permit 200:2";
+                "route-map RM permit 10";
+                " set comm-list DEL delete";
+                "router bgp 100";
+                " neighbor 10.0.0.2 remote-as 200";
+                " neighbor 10.0.0.2 route-map RM out";
+                "";
+              ])))
+  in
+  let original =
+    fst
+      (Cisco.Parser.parse
+         "route-map RM permit 10\nrouter bgp 100\n neighbor 10.0.0.2 remote-as 200\n\
+         \ neighbor 10.0.0.2 route-map RM out\n")
+  in
+  let plain = config ~extra:false and extra = config ~extra:true in
+  let examples translation =
+    List.filter_map
+      (function Campion.Differ.Behavior b -> Some b.Campion.Differ.example | _ -> None)
+      (Campion.Differ.compare ~original ~translation)
+  in
+  Campion.Differ.reset_cache ();
+  let fresh_plain = examples plain in
+  Campion.Differ.reset_cache ();
+  let fresh_extra = examples extra in
+  check bool_t "a behavior difference is found" true (fresh_plain <> []);
+  check bool_t "the unreferenced list changes the witness" true (fresh_plain <> fresh_extra);
+  Campion.Differ.reset_cache ();
+  ignore (examples plain);
+  check bool_t "cached after the other pair = fresh" true (examples extra = fresh_extra);
+  check bool_t "and back" true (examples plain = fresh_plain);
+  audit_clean "unreferenced list"
+
 let () =
   Alcotest.run "verifiers"
     [
@@ -557,4 +681,15 @@ let () =
           Alcotest.test_case "equivalence reflexive" `Quick
             test_campion_structural_masks_nothing_on_equal;
         ] );
+      ( "campion-cache",
+        List.map
+          (fun ((name, _, _, _) as setting) ->
+            Alcotest.test_case ("translation seeds 1-20, " ^ name) `Quick
+              (test_cache_translation setting))
+          Run_settings.all
+        @ [
+            Alcotest.test_case "junos fuzz corpus" `Quick test_cache_fuzz_corpus;
+            Alcotest.test_case "unreferenced community list" `Quick
+              test_cache_unreferenced_community_list;
+          ] );
     ]
