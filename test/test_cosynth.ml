@@ -524,6 +524,48 @@ let golden_incremental (_, resilience, adversary, trust) =
   in
   golden_digest (List.concat_map run [ 1; 2; 3 ])
 
+(* The 60-router hub's own chat under the default IIPs: every draft of a
+   few correction rounds per seed, prompting the live faults in turn with
+   alternating automated and human prompts. It pins the rendered text at
+   scale, where the hub config is ~238 KB, so a change to how drafts are
+   printed must leave every one of them byte-identical. *)
+let golden_hub60 () =
+  let star = Star.make ~routers:60 in
+  let hub =
+    List.find
+      (fun (t : Cosynth.Modularizer.router_task) ->
+        t.Cosynth.Modularizer.router = star.Star.hub)
+      (Cosynth.Modularizer.plan star)
+  in
+  let iips = Cosynth.Iip.ids Cosynth.Iip.defaults in
+  let run seed =
+    let chat =
+      Llmsim.Chat.start ~seed ~iips Llmsim.Fault.Cisco_cfg
+        ~correct:hub.Cosynth.Modularizer.correct
+    in
+    let rec rounds k acc =
+      let live = Llmsim.Chat.live_faults chat in
+      let acc =
+        Llmsim.Chat.draft chat
+        :: String.concat "," (List.map Llmsim.Fault.to_string live)
+        :: acc
+      in
+      if k = 6 || live = [] then List.rev acc
+      else
+        let f = List.nth live (k mod List.length live) in
+        Llmsim.Chat.respond chat
+          (if k mod 2 = 0 then Llmsim.Chat.auto_prompt f else Llmsim.Chat.human_prompt f);
+        rounds (k + 1) acc
+    in
+    rounds 0 []
+  in
+  golden_digest (List.concat_map run [ 1; 2; 3; 4 ])
+
+let golden_hub60_pin = "b284d7e7e588dff148cd794c2839dcd0"
+
+let test_golden_hub60 () =
+  check Alcotest.string "hub drafts at 60 routers" golden_hub60_pin (golden_hub60 ())
+
 (* setting -> (translation, no-transit, incremental) digests *)
 let golden_pins =
   [
@@ -608,5 +650,6 @@ let () =
         List.map
           (fun ((name, _, _, _) as setting) ->
             Alcotest.test_case name `Quick (test_golden setting))
-          golden_settings );
+          golden_settings
+        @ [ Alcotest.test_case "hub drafts at 60 routers" `Quick test_golden_hub60 ] );
     ]
