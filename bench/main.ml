@@ -1598,6 +1598,21 @@ let perf_tests () =
       (Cosynth.Modularizer.plan star5)
   in
   let net5 = Cosynth.Modularizer.compose star5 configs5 in
+  let star60 = Star.make ~routers:60 in
+  let hub60 =
+    (List.find
+       (fun (t : Cosynth.Modularizer.router_task) ->
+         t.Cosynth.Modularizer.router = star60.Star.hub)
+       (Cosynth.Modularizer.plan star60))
+      .Cosynth.Modularizer.correct
+  in
+  (* Seed 2's hub draft carries IR faults and three misplaced neighbor lines;
+     the first draft fills the chat's block cache, as in a VPP run. *)
+  let chat60 =
+    Llmsim.Chat.start ~seed:2 ~iips:(Cosynth.Iip.ids Cosynth.Iip.defaults)
+      Llmsim.Fault.Cisco_cfg ~correct:hub60
+  in
+  ignore (Llmsim.Chat.draft chat60);
   let our_networks = Option.get (Config_ir.find_prefix_list border_ir "our-networks") in
   let private_ips = Option.get (Config_ir.find_prefix_list border_ir "private-ips") in
   let space_a = Symbolic.Guard.compile_prefix_list our_networks in
@@ -1617,6 +1632,10 @@ let perf_tests () =
                 (Option.get (Config_ir.find_route_map corrupted "to_provider")))));
     Test.make ~name:"cisco/parse"
       (Staged.stage (fun () -> ignore (Cisco.Parser.parse cisco_text)));
+    Test.make ~name:"cisco/print-hub60"
+      (Staged.stage (fun () -> ignore (Cisco.Printer.print hub60)));
+    Test.make ~name:"llmsim/draft-hub60"
+      (Staged.stage (fun () -> ignore (Llmsim.Chat.draft chat60)));
     Test.make ~name:"junos/parse"
       (Staged.stage (fun () -> ignore (Juniper.Parser.parse junos_text)));
     Test.make ~name:"junos/translate+print"

@@ -92,7 +92,7 @@ let print_acl (a : Acl.t) =
     ((Printf.sprintf "ip access-list extended %s" a.Acl.name)
     :: List.map entry a.Acl.entries)
 
-let print_interface (ospf : Config_ir.ospf option) (i : Config_ir.interface) =
+let print_interface (i : Config_ir.interface) (oi : Config_ir.ospf_interface option) =
   let buf = Buffer.create 64 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "interface %s" (Iface.cisco_name i.iface);
@@ -101,17 +101,9 @@ let print_interface (ospf : Config_ir.ospf option) (i : Config_ir.interface) =
   | Some (a, len) ->
       line " ip address %s %s" (Ipv4.to_string a) (Ipv4.to_string (Netmask.mask_of_len len))
   | None -> ());
-  (match ospf with
-  | Some o -> (
-      match
-        List.find_opt
-          (fun (oi : Config_ir.ospf_interface) -> Iface.equal oi.iface i.iface)
-          o.interfaces
-      with
-      | Some oi -> (
-          match oi.cost with Some c -> line " ip ospf cost %d" c | None -> ())
-      | None -> ())
-  | None -> ());
+  (match oi with
+  | Some { Config_ir.cost = Some c; _ } -> line " ip ospf cost %d" c
+  | _ -> ());
   (match i.acl_in with Some n -> line " ip access-group %s in" n | None -> ());
   (match i.acl_out with Some n -> line " ip access-group %s out" n | None -> ());
   if i.shutdown then line " shutdown";
@@ -177,34 +169,89 @@ let print_ospf (o : Config_ir.ospf) =
   List.iter (fun r -> line "%s" (print_redistribution r)) o.redistributions;
   Buffer.contents buf
 
-let print (c : Config_ir.t) =
-  let buf = Buffer.create 1024 in
-  let add s =
-    if s <> "" then (
-      Buffer.add_string buf s;
-      if not (String.length s > 0 && s.[String.length s - 1] = '\n') then
-        Buffer.add_char buf '\n';
-      Buffer.add_string buf "!\n")
+let print_statics statics =
+  String.concat "\n"
+    (List.map
+       (fun (r : Config_ir.static_route) ->
+         Printf.sprintf "ip route %s %s %s"
+           (Ipv4.to_string (Prefix.addr r.Config_ir.destination))
+           (Ipv4.to_string (Netmask.mask_of_len (Prefix.len r.Config_ir.destination)))
+           (Ipv4.to_string r.Config_ir.next_hop))
+       statics)
+
+(* A config is printed as its top-level blocks, in this order. Each block
+   carries exactly the IR it is printed from, so equal blocks print equal
+   text; an interface carries its OSPF interface for the cost line. *)
+type block =
+  | Hostname of string
+  | Interface of Config_ir.interface * Config_ir.ospf_interface option
+  | Statics of Config_ir.static_route list
+  | Acl of Acl.t
+  | Prefix_list of Prefix_list.t
+  | Community_list of Community_list.t
+  | As_path_list of As_path_list.t
+  | Route_map of Route_map.t
+  | Bgp of Config_ir.bgp
+  | Ospf of Config_ir.ospf
+
+let blocks (c : Config_ir.t) =
+  let ospf_iface (i : Config_ir.interface) =
+    match c.ospf with
+    | None -> None
+    | Some o ->
+        List.find_opt
+          (fun (oi : Config_ir.ospf_interface) -> Iface.equal oi.iface i.iface)
+          o.interfaces
   in
-  add (Printf.sprintf "hostname %s" c.hostname);
-  List.iter (fun i -> add (print_interface c.ospf i)) c.interfaces;
-  (match c.statics with
-  | [] -> ()
-  | statics ->
-      add
-        (String.concat "\n"
-           (List.map
-              (fun (r : Config_ir.static_route) ->
-                Printf.sprintf "ip route %s %s %s"
-                  (Ipv4.to_string (Prefix.addr r.Config_ir.destination))
-                  (Ipv4.to_string (Netmask.mask_of_len (Prefix.len r.Config_ir.destination)))
-                  (Ipv4.to_string r.Config_ir.next_hop))
-              statics)));
-  List.iter (fun a -> add (print_acl a)) c.acls;
-  List.iter (fun l -> add (print_prefix_list l)) c.prefix_lists;
-  List.iter (fun l -> add (print_community_list l)) c.community_lists;
-  List.iter (fun l -> add (print_as_path_list l)) c.as_path_lists;
-  List.iter (fun m -> add (print_route_map m)) c.route_maps;
-  (match c.bgp with Some b -> add (print_bgp b) | None -> ());
-  (match c.ospf with Some o -> add (print_ospf o) | None -> ());
-  Buffer.contents buf
+  let opt f = function Some x -> [ f x ] | None -> [] in
+  (Hostname c.hostname :: List.map (fun i -> Interface (i, ospf_iface i)) c.interfaces)
+  @ (match c.statics with [] -> [] | statics -> [ Statics statics ])
+  @ List.map (fun a -> Acl a) c.acls
+  @ List.map (fun l -> Prefix_list l) c.prefix_lists
+  @ List.map (fun l -> Community_list l) c.community_lists
+  @ List.map (fun l -> As_path_list l) c.as_path_lists
+  @ List.map (fun m -> Route_map m) c.route_maps
+  @ opt (fun b -> Bgp b) c.bgp
+  @ opt (fun o -> Ospf o) c.ospf
+
+(* The block's text, newline-terminated and followed by a "!" separator;
+   a block that prints nothing (an empty list) is left out entirely. *)
+let print_block block =
+  let body =
+    match block with
+    | Hostname h -> "hostname " ^ h
+    | Interface (i, oi) -> print_interface i oi
+    | Statics statics -> print_statics statics
+    | Acl a -> print_acl a
+    | Prefix_list l -> print_prefix_list l
+    | Community_list l -> print_community_list l
+    | As_path_list l -> print_as_path_list l
+    | Route_map m -> print_route_map m
+    | Bgp b -> print_bgp b
+    | Ospf o -> print_ospf o
+  in
+  if body = "" then ""
+  else if body.[String.length body - 1] = '\n' then body ^ "!\n"
+  else body ^ "\n!\n"
+
+(* Keys are whole blocks: [Hashtbl.hash] samples a bounded part of a block,
+   and the table's structural comparison settles collisions. That comparison
+   stops at once on the IR values a redraft shares with earlier drafts, which
+   are physically equal. *)
+type cache = (block, string) Hashtbl.t
+
+let create_cache () : cache = Hashtbl.create 256
+
+let print ?cache c =
+  let text block =
+    match cache with
+    | None -> print_block block
+    | Some tbl -> (
+        match Hashtbl.find_opt tbl block with
+        | Some s -> s
+        | None ->
+            let s = print_block block in
+            Hashtbl.add tbl block s;
+            s)
+  in
+  String.concat "" (List.map text (blocks c))

@@ -31,7 +31,7 @@ let parse_fn = function
   | Corpus.Junos -> Juniper.Parser.parse
 
 let print_fn = function
-  | Corpus.Cisco -> Cisco.Printer.print
+  | Corpus.Cisco -> fun ir -> Cisco.Printer.print ir
   | Corpus.Junos -> Juniper.Printer.print
 
 let guard ~label ~input f =

@@ -15,6 +15,7 @@ type t = {
   reintroduction_rate : float;
   class_filter : Error_class.t -> bool;
   quality : float;
+  printed : Cisco.Printer.cache;
 }
 
 let suppressed iips (cls : Error_class.t) =
@@ -47,6 +48,7 @@ let start ?(seed = 42) ?(iips = []) ?(regression_rate = 0.12)
       reintroduction_rate = reintroduction_rate *. (1.0 -. quality);
       class_filter;
       quality;
+      printed = Cisco.Printer.create_cache ();
     }
   in
   let sampled =
@@ -65,7 +67,7 @@ let start ?(seed = 42) ?(iips = []) ?(regression_rate = 0.12)
   t.live <- sampled @ forced;
   t
 
-let draft t = Fault.render t.dialect_ t.correct t.live
+let draft t = Fault.render ~cache:t.printed t.dialect_ t.correct t.live
 let correct t = t.correct
 let live_faults t = t.live
 let fixed_faults t = t.fixed

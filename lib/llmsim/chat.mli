@@ -45,7 +45,11 @@ val start :
     probabilities interpolate toward 1, and regressions scale by [1 - q]. *)
 
 val draft : t -> string
-(** Current rendering of the draft configuration. *)
+(** Current rendering of the draft configuration. Each chat keeps its own
+    cache of printed Cisco blocks ({!Fault.render}), so a redraft prints
+    only the blocks its live faults changed since the chat last saw them.
+    The cache is what makes a chat stateful between drafts: use a chat
+    from one domain at a time. *)
 
 val correct : t -> Config_ir.t
 (** The task's oracle artifact (used by adversarial wrappers that re-render

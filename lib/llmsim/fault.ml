@@ -596,10 +596,30 @@ let apply_ir (c : Config_ir.t) (fault : t) =
 (* Text corruption                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let rec matches_at s i sub j =
+  j = String.length sub || (s.[i + j] = sub.[j] && matches_at s i sub (j + 1))
+
+(* Allocates nothing: it runs on every line of a text. *)
 let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+  let rec go i = i + String.length sub <= String.length s && (matches_at s i sub 0 || go (i + 1)) in
+  go 0
+
+(* The first index in [pos, stop) at which [sub] occurs in [s], or -1. A
+   Boyer-Moore-Horspool search: after a mismatch the window moves past the
+   last occurrence in [sub] of its last character, which on a config text is
+   most of [sub]'s length at a time. *)
+let find ~sub s pos stop =
+  let m = String.length sub in
+  let shift = Array.make 256 (max m 1) in
+  for j = 0 to m - 2 do
+    shift.(Char.code sub.[j]) <- m - 1 - j
+  done;
+  let rec go i =
+    if i + m > stop then -1
+    else if matches_at s i sub 0 then i
+    else go (i + shift.(Char.code s.[i + m - 1]))
+  in
+  go pos
 
 let lines s = String.split_on_char '\n' s
 let unlines l = String.concat "\n" l
@@ -642,23 +662,45 @@ let apply_bad_prefix_list (correct : Config_ir.t) list_name text =
 let apply_cli_keywords text =
   "configure terminal\n" ^ text ^ "end\nwrite memory\n"
 
+(* Move the export attachment of [addr] out of the [router bgp] block: every
+   line holding it is dropped and the first one is appended, unindented, at
+   the end. One scan finds the lines and one copy writes the result, which
+   is what splitting into lines, filtering and re-joining would give. *)
 let apply_neighbor_outside_bgp addr text =
-  let addr_str = Netcore.Ipv4.to_string addr in
-  let is_export_attachment l =
-    contains ~sub:("neighbor " ^ addr_str ^ " route-map") l && contains ~sub:" out" l
+  let needle = "neighbor " ^ Ipv4.to_string addr ^ " route-map" in
+  let n = String.length text in
+  let rec scan from acc =
+    let i = find ~sub:needle text from n in
+    if i < 0 then List.rev acc
+    else
+      let pos = match String.rindex_from text i '\n' with j -> j + 1 | exception Not_found -> 0 in
+      let stop = match String.index_from text i '\n' with j -> j | exception Not_found -> n in
+      scan (stop + 1) (if find ~sub:" out" text pos stop >= 0 then (pos, stop) :: acc else acc)
   in
-  let moved = List.filter is_export_attachment (lines text) in
-  match moved with
+  match scan 0 [] with
   | [] -> text
-  | line :: _ ->
-      let rest = List.filter (fun l -> not (is_export_attachment l)) (lines text) in
-      unlines rest ^ String.trim line ^ "\n"
+  | (first, first_stop) :: _ as moved ->
+      let buf = Buffer.create (n + 1) in
+      let joined = ref false in
+      (* The lines in [a, b), joined to the previous run by a newline. *)
+      let keep a b =
+        if a <= b then begin
+          if !joined then Buffer.add_char buf '\n';
+          Buffer.add_substring buf text a (b - a);
+          joined := true
+        end
+      in
+      keep (List.fold_left (fun a (pos, stop) -> keep a (pos - 1); stop + 1) 0 moved) n;
+      Buffer.add_string buf (String.trim (String.sub text first (first_stop - first)));
+      Buffer.add_char buf '\n';
+      Buffer.contents buf
 
 let apply_match_community_literal (correct : Config_ir.t) map_name seq text =
   (* Find the stanza header, then the first community match inside it, and
-     replace the list reference with the literal community. *)
-  let header_prefix = Printf.sprintf "route-map %s" map_name in
-  let header_suffix = Printf.sprintf " %d" seq in
+     replace the list reference with the literal community. The header's
+     map name and seq are matched as whole tokens: a substring match would
+     take [route-map X_R20 deny 30] for a stanza [X_R2 30]. *)
+  let seq = string_of_int seq in
   let literal_of list_name =
     match Config_ir.find_community_list correct list_name with
     | Some { Community_list.entries = { Community_list.communities = c :: _; _ } :: _; _ } ->
@@ -669,10 +711,13 @@ let apply_match_community_literal (correct : Config_ir.t) map_name seq text =
     | [] -> List.rev acc
     | l :: rest ->
         let is_header = String.length l > 0 && l.[0] <> ' ' in
-        let entering =
-          contains ~sub:header_prefix l && contains ~sub:header_suffix l && is_header
+        let in_stanza =
+          if is_header then
+            match String.split_on_char ' ' l with
+            | [ "route-map"; name; _; s ] -> name = map_name && s = seq
+            | _ -> false
+          else in_stanza
         in
-        let in_stanza = if is_header then entering else in_stanza in
         if (not done_) && in_stanza && contains ~sub:"match community " l then
           let toks = String.split_on_char ' ' (String.trim l) in
           match toks with
@@ -701,12 +746,12 @@ let is_text_fault (fault : t) =
       true
   | _ -> false
 
-let render dialect (correct : Config_ir.t) faults =
+let render ?cache dialect (correct : Config_ir.t) faults =
   let ir_faults, text_faults = List.partition (fun f -> not (is_text_fault f)) faults in
   let ir = List.fold_left apply_ir correct ir_faults in
   let text =
     match dialect with
-    | Cisco_cfg -> Cisco.Printer.print ir
+    | Cisco_cfg -> Cisco.Printer.print ?cache ir
     | Junos_cfg -> Juniper.Printer.print ir
   in
   List.fold_left (apply_text correct) text text_faults

@@ -29,8 +29,14 @@ val opportunities : dialect -> Config_ir.t -> t list
     neighbor, one [Redistribution_unscoped] when export policies carry
     source-protocol scoping. *)
 
-val render : dialect -> Config_ir.t -> t list -> string
+val render : ?cache:Cisco.Printer.cache -> dialect -> Config_ir.t -> t list -> string
 (** Apply every fault to the correct IR, print in the dialect, then apply
     the text-level manglings (CLI keywords, misplaced neighbor lines, the
     /24-32 shorthand, dropped local-as lines). Unknown targets are ignored
-    (rendering is total). *)
+    (rendering is total).
+
+    A Cisco draft is printed through [cache] when one is given, so a block
+    the faults leave unchanged is printed once per cache rather than once
+    per draft; the text is the same either way. Junos drafts ignore it.
+    {!Chat} passes its own cache: one per conversation, used by one domain
+    at a time. *)

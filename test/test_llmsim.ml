@@ -194,6 +194,242 @@ let test_render_ir_fault_changes_semantics () =
   | [ Route_map.Set_community { additive; _ } ] -> check bool_t "not additive" false additive
   | _ -> Alcotest.fail "expected one set community"
 
+let hub_of routers =
+  let star = Star.make ~routers in
+  (List.find
+     (fun (t : Cosynth.Modularizer.router_task) ->
+       t.Cosynth.Modularizer.router = star.Star.hub)
+     (Cosynth.Modularizer.plan star))
+    .Cosynth.Modularizer.correct
+
+(* In a 25-router hub, FILTER_COMM_OUT_R2 is a prefix of FILTER_COMM_OUT_R20.
+   Once the AND/OR confusion has merged R2's denies, R2 has no stanza 30 left,
+   so a literal aimed at it must land nowhere — not under R20's stanza 30,
+   which a substring match of the header took for it. *)
+let test_render_literal_whole_tokens () =
+  let hub = hub_of 25 in
+  let map = Cosynth.Modularizer.egress_map_name "R2" in
+  let and_or = Llmsim.Fault.make Llmsim.Error_class.And_or_confusion (Llmsim.Fault.Policy map) in
+  let literal =
+    Llmsim.Fault.make Llmsim.Error_class.Match_community_literal
+      (Llmsim.Fault.Policy_entry (map, 30))
+  in
+  let render = Llmsim.Fault.render Llmsim.Fault.Cisco_cfg hub in
+  let ir, diags = Cisco.Parser.parse (render [ and_or; literal ]) in
+  check int_t "no literal anywhere" 0 (List.length diags);
+  check bool_t "R20 untouched" true
+    (Config_ir.find_route_map ir (Cosynth.Modularizer.egress_map_name "R20")
+    = Config_ir.find_route_map hub (Cosynth.Modularizer.egress_map_name "R20"));
+  check Alcotest.string "same text as the AND/OR confusion alone" (render [ and_or ])
+    (render [ and_or; literal ])
+
+(* The text faults as they were written before they became one-pass: split
+   the text into lines, filter and re-join. Only [apply_match_community_literal]
+   behaves differently now, and only where its substring header match took
+   another map's stanza (see [test_render_literal_whole_tokens]). *)
+module Line_list_faults = struct
+  let lines s = String.split_on_char '\n' s
+  let unlines l = String.concat "\n" l
+
+  let apply_missing_local_as text =
+    unlines
+      (List.filter
+         (fun l -> not (contains ~sub:"autonomous-system" l || contains ~sub:"local-as" l))
+         (lines text))
+
+  let apply_bad_prefix_list (correct : Config_ir.t) list_name text =
+    match Config_ir.find_prefix_list correct list_name with
+    | None | Some { Prefix_list.entries = []; _ } -> text
+    | Some { Prefix_list.entries = e :: _; _ } ->
+        let base_str = Prefix.to_string (Prefix_range.base e.Prefix_list.range) in
+        let marker = "route-filter " ^ base_str in
+        let replaced = ref false in
+        let keep l =
+          if contains ~sub:marker l then
+            if !replaced then None
+            else begin
+              replaced := true;
+              let indent =
+                let rec count i =
+                  if i < String.length l && l.[i] = ' ' then count (i + 1) else i
+                in
+                String.make (count 0) ' '
+              in
+              Some (indent ^ "prefix-list " ^ list_name ^ ";")
+            end
+          else Some l
+        in
+        let body = List.filter_map keep (lines text) in
+        unlines body
+        ^ Printf.sprintf "policy-options {\n    prefix-list %s {\n        %s-32;\n    }\n}\n"
+            list_name base_str
+
+  let apply_neighbor_outside_bgp addr text =
+    let addr_str = Ipv4.to_string addr in
+    let is_export_attachment l =
+      contains ~sub:("neighbor " ^ addr_str ^ " route-map") l && contains ~sub:" out" l
+    in
+    match List.filter is_export_attachment (lines text) with
+    | [] -> text
+    | line :: _ ->
+        let rest = List.filter (fun l -> not (is_export_attachment l)) (lines text) in
+        unlines rest ^ String.trim line ^ "\n"
+
+  let is_header l = String.length l > 0 && l.[0] <> ' '
+
+  (* The old header test: map name and seq as substrings. *)
+  let substring_header map_name seq l =
+    contains ~sub:(Printf.sprintf "route-map %s" map_name) l
+    && contains ~sub:(Printf.sprintf " %d" seq) l
+    && is_header l
+
+  let apply_match_community_literal (correct : Config_ir.t) map_name seq text =
+    let literal_of list_name =
+      match Config_ir.find_community_list correct list_name with
+      | Some { Community_list.entries = { Community_list.communities = c :: _; _ } :: _; _ }
+        ->
+          Community.to_string c
+      | _ -> "100:1"
+    in
+    let rec go acc in_stanza done_ = function
+      | [] -> List.rev acc
+      | l :: rest ->
+          let in_stanza = if is_header l then substring_header map_name seq l else in_stanza in
+          if (not done_) && in_stanza && contains ~sub:"match community " l then
+            match String.split_on_char ' ' (String.trim l) with
+            | [ "match"; "community"; name ] ->
+                go ((" match community " ^ literal_of name) :: acc) in_stanza true rest
+            | _ -> go (l :: acc) in_stanza done_ rest
+          else go (l :: acc) in_stanza done_ rest
+    in
+    unlines (go [] false false (lines text))
+
+  (* Whether the old header test accepts a header of another stanza. *)
+  let mis_targets map_name seq text =
+    List.exists
+      (fun l ->
+        substring_header map_name seq l
+        &&
+        match String.split_on_char ' ' l with
+        | [ "route-map"; name; _; s ] -> name <> map_name || s <> string_of_int seq
+        | _ -> true)
+      (lines text)
+
+  let apply correct text (f : Llmsim.Fault.t) =
+    match (f.Llmsim.Fault.class_, f.Llmsim.Fault.target) with
+    | Llmsim.Error_class.Missing_local_as, _ -> apply_missing_local_as text
+    | Llmsim.Error_class.Bad_prefix_list_syntax, Llmsim.Fault.Named_list n ->
+        apply_bad_prefix_list correct n text
+    | Llmsim.Error_class.Cli_keywords, _ -> "configure terminal\n" ^ text ^ "end\nwrite memory\n"
+    | Llmsim.Error_class.Neighbor_outside_bgp, Llmsim.Fault.Neighbor a ->
+        apply_neighbor_outside_bgp a text
+    | Llmsim.Error_class.Match_community_literal, Llmsim.Fault.Policy_entry (m, s) ->
+        apply_match_community_literal correct m s text
+    | _ -> text
+
+  let is_text_fault (f : Llmsim.Fault.t) =
+    List.mem f.Llmsim.Fault.class_
+      Llmsim.Error_class.
+        [
+          Missing_local_as;
+          Bad_prefix_list_syntax;
+          Cli_keywords;
+          Neighbor_outside_bgp;
+          Match_community_literal;
+        ]
+
+  (* [Fault.render] with the text faults applied by the code above. *)
+  let render dialect correct faults =
+    let text_faults = List.filter is_text_fault faults in
+    List.fold_left (apply correct)
+      (Llmsim.Fault.render dialect correct (List.filter (fun f -> not (is_text_fault f)) faults))
+      text_faults
+end
+
+(* Up to 12 distinct faults drawn from [ops] in a seeded random order. *)
+let random_faults rng ops =
+  List.map (fun f -> (Random.State.bits rng, f)) ops
+  |> List.sort compare
+  |> List.filteri (fun i _ -> i <= Random.State.int rng 12)
+  |> List.map snd
+
+(* Cached rendering equals uncached rendering, and the one-pass text faults
+   equal the line-list ones, on every router the modularizer plans for stars
+   of 2-16, 30 and 60 routers and on the border router in both dialects.
+   Each oracle keeps one cache across all of its fault sets, as a chat does
+   across its drafts. *)
+let test_render_differential () =
+  let oracles =
+    List.concat_map
+      (fun routers ->
+        List.map
+          (fun (t : Cosynth.Modularizer.router_task) ->
+            (Llmsim.Fault.Cisco_cfg, t.Cosynth.Modularizer.correct, []))
+          (Cosynth.Modularizer.plan (Star.make ~routers)))
+      (List.init 15 (fun i -> i + 2) @ [ 30; 60 ])
+    @ [
+        (Llmsim.Fault.Cisco_cfg, border_ir, []);
+        ( Llmsim.Fault.Junos_cfg,
+          correct_junos,
+          [
+            Llmsim.Fault.make Llmsim.Error_class.Bad_prefix_list_syntax
+              (Llmsim.Fault.Named_list "our-networks");
+          ] );
+      ]
+  in
+  (* At n >= 21 the hubs also get the fault pair that the line-list code
+     mis-targets, so the exception below is exercised, not just allowed. *)
+  let mis_targeted_pair =
+    let map = Cosynth.Modularizer.egress_map_name "R2" in
+    [
+      Llmsim.Fault.make Llmsim.Error_class.And_or_confusion (Llmsim.Fault.Policy map);
+      Llmsim.Fault.make Llmsim.Error_class.Match_community_literal
+        (Llmsim.Fault.Policy_entry (map, 30));
+    ]
+  in
+  let mis_targeted = ref 0 in
+  List.iteri
+    (fun i (dialect, correct, extra) ->
+      let rng = Random.State.make [| i |] in
+      let ops = Llmsim.Fault.opportunities dialect correct @ extra in
+      let fault_sets =
+        List.init 12 (fun _ -> random_faults rng ops)
+        @
+        if List.for_all (fun f -> List.mem f ops) mis_targeted_pair then [ mis_targeted_pair ]
+        else []
+      in
+      let cache = Cisco.Printer.create_cache () in
+      List.iter
+        (fun faults ->
+          let described = String.concat ", " (List.map Llmsim.Fault.to_string faults) in
+          let uncached = Llmsim.Fault.render dialect correct faults in
+          if Llmsim.Fault.render ~cache dialect correct faults <> uncached then
+            Alcotest.failf "cached render differs on oracle %d with %s" i described;
+          if Line_list_faults.render dialect correct faults <> uncached then begin
+            (* The one allowed difference: a literal whose stanza header the
+               old substring match found in another map. *)
+            let ir_text =
+              Llmsim.Fault.render dialect correct
+                (List.filter (fun f -> not (Line_list_faults.is_text_fault f)) faults)
+            in
+            if
+              List.exists
+                (fun (f : Llmsim.Fault.t) ->
+                  match (f.Llmsim.Fault.class_, f.Llmsim.Fault.target) with
+                  | Llmsim.Error_class.Match_community_literal, Llmsim.Fault.Policy_entry (m, s)
+                    ->
+                      Line_list_faults.mis_targets m s ir_text
+                  | _ -> false)
+                faults
+            then incr mis_targeted
+            else
+              Alcotest.failf "text faults differ from the line-list code on oracle %d with %s"
+                i described
+          end)
+        fault_sets)
+    oracles;
+  check int_t "mis-targeted pairs (hubs at 30 and 60)" 2 !mis_targeted
+
 (* ------------------------------------------------------------------ *)
 (* Chat dynamics                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -354,6 +590,10 @@ let () =
           Alcotest.test_case "match community literal" `Quick
             test_render_match_community_literal;
           Alcotest.test_case "semantic fault" `Quick test_render_ir_fault_changes_semantics;
+          Alcotest.test_case "literal matches whole tokens" `Quick
+            test_render_literal_whole_tokens;
+          Alcotest.test_case "cached and one-pass render differential" `Quick
+            test_render_differential;
         ] );
       ( "chat",
         [
