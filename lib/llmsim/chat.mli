@@ -48,7 +48,7 @@ val draft : t -> string
 (** Current rendering of the draft configuration. Each chat keeps its own
     cache of printed Cisco blocks ({!Fault.render}), so a redraft prints
     only the blocks its live faults changed since the chat last saw them.
-    The cache is what makes a chat stateful between drafts: use a chat
+    Neither the cache nor the rest of a chat is synchronised: use a chat
     from one domain at a time. *)
 
 val correct : t -> Config_ir.t
