@@ -566,6 +566,29 @@ let golden_hub60_pin = "b284d7e7e588dff148cd794c2839dcd0"
 let test_golden_hub60 () =
   check Alcotest.string "hub drafts at 60 routers" golden_hub60_pin (golden_hub60 ())
 
+(* The modularizer's whole plan (prompts, oracle configs and specs) at
+   three star sizes, as the MD5 of its unshared marshalled bytes: a change
+   to how [Modularizer.plan] builds its output must leave it structurally
+   equal. *)
+let golden_plans () =
+  List.map
+    (fun n ->
+      let plan = Cosynth.Modularizer.plan (Star.make ~routers:n) in
+      Digest.to_hex (Digest.string (Marshal.to_string plan [ Marshal.No_sharing ])))
+    [ 7; 30; 60 ]
+
+let golden_plans_pin =
+  [
+    "136ef5353323c83eef35b197a4fbdc28";
+    "e7b78ca81a8e00f46b99f835e8a5abff";
+    "c076c68b9114924e964c5f94596306f0";
+  ]
+
+let test_golden_plans () =
+  check
+    Alcotest.(list string)
+    "plan digests at 7/30/60 routers" golden_plans_pin (golden_plans ())
+
 (* setting -> (translation, no-transit, incremental) digests *)
 let golden_pins =
   [
@@ -651,5 +674,9 @@ let () =
           (fun ((name, _, _, _) as setting) ->
             Alcotest.test_case name `Quick (test_golden setting))
           golden_settings
-        @ [ Alcotest.test_case "hub drafts at 60 routers" `Quick test_golden_hub60 ] );
+        @ [
+            Alcotest.test_case "hub drafts at 60 routers" `Quick test_golden_hub60;
+            Alcotest.test_case "modularizer plans at 7/30/60 routers" `Quick
+              test_golden_plans;
+          ] );
     ]
