@@ -169,6 +169,7 @@ let determinism_sweep ~name ~seeds run =
   | Some dir ->
       Exec.Memo.reset ();
       Campion.Differ.reset_cache ();
+      Cisco.Parser.reset_cache ();
       let j = transcript_journal dir name in
       let replayed = List.length (Exec.Sweep.journaled_seeds j) in
       let ts, perf =
@@ -181,12 +182,14 @@ let determinism_sweep ~name ~seeds run =
   | None ->
       Exec.Memo.reset ();
       Campion.Differ.reset_cache ();
+      Cisco.Parser.reset_cache ();
       let seq, seq_perf =
         Cosynth.Metrics.measure (fun () ->
             Exec.Sweep.run_seeds ~seeds (fun seed -> run ?pool:None seed))
       in
       Exec.Memo.reset ();
       Campion.Differ.reset_cache ();
+      Cisco.Parser.reset_cache ();
       let par, par_perf =
         Cosynth.Metrics.measure ~pool (fun () ->
             Exec.Sweep.run_seeds ~pool ~seeds (fun seed -> run ?pool:(Some pool) seed))
@@ -748,6 +751,7 @@ let table_c1 () =
   in
   Exec.Memo.reset ();
   Campion.Differ.reset_cache ();
+  Cisco.Parser.reset_cache ();
   let (rows, crash_rows, identical), perf =
     Cosynth.Metrics.measure (fun () ->
         let rows =
@@ -1131,6 +1135,7 @@ let table_s1 () =
           (fun seed ->
             Exec.Memo.reset ();
             Campion.Differ.reset_cache ();
+            Cisco.Parser.reset_cache ();
             let p = Exec.Pool.create ~domains:2 () in
             let r = Cosynth.Driver.run_no_transit ~seed ~pool:p ~routers:5 () in
             Exec.Pool.shutdown p;
@@ -1141,6 +1146,7 @@ let table_s1 () =
      Unix socket — one shared pool, one persistent memo, one connection. *)
   Exec.Memo.reset ();
   Campion.Differ.reset_cache ();
+  Cisco.Parser.reset_cache ();
   let dir = Filename.temp_file "cosynth_s1_" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
@@ -1612,7 +1618,23 @@ let perf_tests () =
     Llmsim.Chat.start ~seed:2 ~iips:(Cosynth.Iip.ids Cosynth.Iip.defaults)
       Llmsim.Fault.Cisco_cfg ~correct:hub60
   in
-  ignore (Llmsim.Chat.draft chat60);
+  let draft60 = Llmsim.Chat.draft chat60 in
+  (* The same draft with one line added to its first route-map block,
+     different on every call: one block misses the parser's table. *)
+  let redraft60 =
+    let rec split above = function
+      | line :: below when String.starts_with ~prefix:"route-map " line ->
+          (List.rev (line :: above), below)
+      | line :: below -> split (line :: above) below
+      | [] -> (List.rev above, [])
+    in
+    let above, below = split [] (String.split_on_char '\n' draft60) in
+    let before = String.concat "\n" above ^ "\n" and after = String.concat "\n" below in
+    let calls = ref 0 in
+    fun () ->
+      incr calls;
+      String.concat "" [ before; Printf.sprintf " set metric %d\n" !calls; after ]
+  in
   let our_networks = Option.get (Config_ir.find_prefix_list border_ir "our-networks") in
   let private_ips = Option.get (Config_ir.find_prefix_list border_ir "private-ips") in
   let space_a = Symbolic.Guard.compile_prefix_list our_networks in
@@ -1632,6 +1654,12 @@ let perf_tests () =
                 (Option.get (Config_ir.find_route_map corrupted "to_provider")))));
     Test.make ~name:"cisco/parse"
       (Staged.stage (fun () -> ignore (Cisco.Parser.parse cisco_text)));
+    Test.make ~name:"cisco/parse-hub60"
+      (Staged.stage (fun () ->
+           Cisco.Parser.reset_cache ();
+           ignore (Cisco.Parser.parse draft60)));
+    Test.make ~name:"cisco/parse-hub60-redraft"
+      (Staged.stage (fun () -> ignore (Cisco.Parser.parse (redraft60 ()))));
     Test.make ~name:"cisco/print-hub60"
       (Staged.stage (fun () -> ignore (Cisco.Printer.print hub60)));
     Test.make ~name:"llmsim/draft-hub60"
@@ -1769,6 +1797,11 @@ let table_f1 () =
         (fun e -> violations := Fuzz.Props.escape_to_string e :: !violations)
         r.Fuzz.Props.escapes)
     [ Fuzz.Corpus.Cisco; Fuzz.Corpus.Junos ];
+  (* Every Cisco block the mutants left in the parser's table must still
+     parse to its cached value. *)
+  (match Cisco.Parser.audit_cache () with
+  | Ok n -> Printf.printf "  Cisco block table: %d cached block(s) equal a fresh parse\n" n
+  | Error line -> violations := ("Cisco block table: stale entry for " ^ line) :: !violations);
   (* 3b. Structured-text targets: the topology verifier on mutated JSON
      dictionaries and the policy parser + semantic check on mutated policy
      fragments, both under the weighted (coverage-guided) schedule. *)

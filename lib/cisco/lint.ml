@@ -44,9 +44,11 @@ let check (c : Config_ir.t) =
     | None -> []
     | Some o -> List.filter_map (fun (r : Config_ir.redistribution) -> r.policy) o.redistributions
   in
+  let is_attached = Hashtbl.create 64 in
+  List.iter (fun name -> Hashtbl.replace is_attached name ()) attached;
   List.iter
     (fun (m : Route_map.t) ->
-      if not (List.mem m.name attached) then
+      if not (Hashtbl.mem is_attached m.name) then
         warn "route-map %s is defined but not attached to any neighbor or \
               redistribution"
           m.name)

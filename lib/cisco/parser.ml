@@ -1,8 +1,9 @@
 open Netcore
 open Policy
 
-(* Parsing state: the configuration is assembled into mutable accumulators
-   and frozen into a Config_ir.t at the end. A context tracks which block
+(* Parsing state: the line loop assembles a text into mutable
+   accumulators, freezes them into an immutable [Piece.t], and [assemble]
+   builds the Config_ir.t from that. A context tracks which block
    ("interface", "router bgp", ...) indented lines belong to.
 
    Every accumulator is a list built by consing (so it is reversed until
@@ -21,7 +22,7 @@ type stanza = {
 }
 
 type state = {
-  mutable hostname : string;
+  mutable hostname : string option;  (* the last [hostname] line *)
   mutable interfaces : Config_ir.interface ref list;  (* reversed *)
   iface_index : (Iface.t, Config_ir.interface ref) Hashtbl.t;
       (* every cell for an interface name: a repeated [interface X] block
@@ -60,7 +61,7 @@ type context =
 
 let fresh () =
   {
-    hostname = "router";
+    hostname = None;
     interfaces = [];
     iface_index = Hashtbl.create 16;
     pl_entries = [];
@@ -250,13 +251,13 @@ let handle_bgp_line st ~line toks =
   | _ -> err st ~line "unrecognized router bgp statement: '%s'" (String.concat " " toks)
 
 (* OSPF interfaces are keyed by name; [assemble] sorts them. *)
-let set_ospf_iface st iface f =
+let set_ospf_iface table iface f =
   let oi =
-    match Hashtbl.find_opt st.ospf_interfaces iface with
+    match Hashtbl.find_opt table iface with
     | Some oi -> oi
     | None -> { Config_ir.iface; cost = None; passive = false; area = 0 }
   in
-  Hashtbl.replace st.ospf_interfaces iface (f oi)
+  Hashtbl.replace table iface (f oi)
 
 let handle_ospf_line st ~line toks =
   match toks with
@@ -275,7 +276,7 @@ let handle_ospf_line st ~line toks =
       | _ -> err st ~line "malformed ospf network statement")
   | [ "passive-interface"; ifname ] -> (
       match Iface.of_cisco ifname with
-      | Some iface -> set_ospf_iface st iface (fun oi -> { oi with Config_ir.passive = true })
+      | Some iface -> set_ospf_iface st.ospf_interfaces iface (fun oi -> { oi with Config_ir.passive = true })
       | None -> err st ~line "unknown interface '%s'" ifname)
   | "redistribute" :: rest -> (
       match parse_redistribute st ~line rest with
@@ -503,7 +504,7 @@ let dispatch_top st ~line toks : context =
   match toks with
   | [] -> Top
   | [ "hostname"; h ] ->
-      st.hostname <- h;
+      st.hostname <- Some h;
       Top
   | "interface" :: [ ifname ] -> (
       match Iface.of_cisco ifname with
@@ -593,118 +594,100 @@ let dispatch_top st ~line toks : context =
       err st ~line "unrecognized statement: '%s'" (String.concat " " toks);
       Top
 
+
 (* ------------------------------------------------------------------ *)
-(* Assembly                                                            *)
+(* The line loop                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Groups [(name, entry)] pairs (in input order) by name, keeping names in
-   first-appearance order and each name's entries in input order. *)
-let group_by_name pairs =
-  let groups = Hashtbl.create 16 in
-  let names =
-    List.fold_left
-      (fun names (n, e) ->
-        match Hashtbl.find_opt groups n with
-        | Some entries ->
-            entries := e :: !entries;
-            names
-        | None ->
-            Hashtbl.add groups n (ref [ e ]);
-            n :: names)
-      [] pairs
-  in
-  List.rev_map (fun n -> (n, List.rev !(Hashtbl.find groups n))) names
+(* A piece of text once parsed, frozen: the accumulators with no mutable
+   cell left (so one value can be shared across runs and domains), lists
+   still reversed, and diagnostics numbered from the piece's first line.
+   [shared] and [stanzas] name the state a piece shares with the rest of
+   its text. *)
+module Piece = struct
+  type shared = Interface of Iface.t | Acl of string | Bgp | Ospf
 
-let assemble st =
-  let prefix_lists =
-    List.map
-      (fun (name, entries) ->
-        try Prefix_list.make name entries
-        with Invalid_argument _ ->
-          warn st ~line:0 "prefix-list %s has duplicate sequence numbers" name;
-          (* Keep the first entry for each sequence number. *)
-          let seen = Hashtbl.create 16 in
-          let first (e : Prefix_list.entry) =
-            (not (Hashtbl.mem seen e.seq)) && (Hashtbl.add seen e.seq (); true)
-          in
-          Prefix_list.make name (List.filter first entries))
-      (group_by_name (List.rev st.pl_entries))
+  type t = {
+    hostname : string option;  (* the last [hostname] line *)
+    interfaces : Config_ir.interface list;
+    pl_entries : (string * Prefix_list.entry) list;
+    cl_entries : (string * Community_list.entry) list;
+    al_entries : (string * As_path_list.entry) list;
+    rm_entries : (string * Route_map.entry) list;
+    acl_entries : (string * Acl.entry) list;
+    statics : Config_ir.static_route list;
+    bgp : Config_ir.bgp option;
+    bgp_networks : Prefix.t list;
+    bgp_neighbors : Config_ir.neighbor list;
+    bgp_redistributions : Config_ir.redistribution list;
+    ospf : Config_ir.ospf option;
+    ospf_networks : (Prefix.t * int) list;
+    ospf_interfaces : Config_ir.ospf_interface list;  (* any order *)
+    ospf_redistributions : Config_ir.redistribution list;
+    ospf_costs : (Iface.t * int) list;
+    diags : Diag.t list;
+    newlines : int;  (* in the text; the next piece starts on line [newlines + 1] *)
+    shared : shared list;
+        (* each opened interface, each ACL given entries, a BGP or OSPF
+           process: at most once each. Neighbors are only edited inside a
+           [router bgp] block, so [Bgp] covers them. *)
+    stanzas : (string * int list) list;
+        (* each route map's stanza sequence numbers, one entry per map *)
+  }
+end
+
+let freeze st ~newlines : Piece.t =
+  let stanzas =
+    Hashtbl.fold (fun key () acc -> key :: acc) st.rm_seen []
+    |> List.sort compare
+    |> List.fold_left
+         (fun acc (name, seq) ->
+           match acc with
+           | (n, seqs) :: rest when n = name -> (n, seq :: seqs) :: rest
+           | _ -> (name, [ seq ]) :: acc)
+         []
   in
-  let community_lists =
-    List.map (fun (n, es) -> Community_list.make n es) (group_by_name (List.rev st.cl_entries))
+  let interfaces = List.map ( ! ) st.interfaces in
+  let shared =
+    List.sort_uniq compare
+      (List.map (fun (i : Config_ir.interface) -> Piece.Interface i.iface) interfaces)
+    @ Hashtbl.fold (fun name _ acc -> Piece.Acl name :: acc) st.acl_counts []
+    @ (if Option.is_some st.bgp then [ Piece.Bgp ] else [])
+    @ if Option.is_some st.ospf then [ Piece.Ospf ] else []
   in
-  let as_path_lists =
-    List.map (fun (n, es) -> As_path_list.make n es) (group_by_name (List.rev st.al_entries))
-  in
-  let route_maps =
-    List.map
-      (fun (name, stanzas) ->
-        Route_map.make name
-          (List.map
-             (fun s ->
-               Route_map.entry ~action:s.action ~matches:(List.rev s.matches)
-                 ~sets:(List.rev s.sets) s.seq)
-             stanzas))
-      (group_by_name (List.rev st.rm_stanzas))
-  in
-  (* Merge interface-level ospf costs into the ospf block. *)
-  (match (st.ospf, List.rev st.ospf_costs) with
-  | _, [] -> ()
-  | None, _ :: _ ->
-      warn st ~line:0 "'ip ospf cost' configured but there is no 'router ospf' process"
-  | Some _, costs ->
-      List.iter
-        (fun (iface, cost) ->
-          set_ospf_iface st iface (fun oi -> { oi with Config_ir.cost = Some cost }))
-        costs);
-  let neighbors = List.rev_map ( ! ) st.bgp_neighbors in
-  (* Neighbors created by a non-remote-as command first. *)
-  if Option.is_some st.bgp then
-    List.iter
-      (fun (n : Config_ir.neighbor) ->
-        if n.remote_as <= 0 then
-          warn st ~line:0 "neighbor %s has no remote-as configured" (Ipv4.to_string n.addr))
-      neighbors;
-  let bgp =
-    Option.map
-      (fun (b : Config_ir.bgp) ->
-        {
-          b with
-          Config_ir.networks = List.rev st.bgp_networks;
-          neighbors;
-          redistributions = List.rev st.bgp_redistributions;
-        })
-      st.bgp
-  in
-  let ospf =
-    Option.map
-      (fun (o : Config_ir.ospf) ->
-        {
-          o with
-          Config_ir.networks = List.rev st.ospf_networks;
-          interfaces =
-            Hashtbl.fold (fun _ oi acc -> oi :: acc) st.ospf_interfaces []
-            |> List.sort (fun (a : Config_ir.ospf_interface) (b : Config_ir.ospf_interface) ->
-                   Iface.compare a.iface b.iface);
-          redistributions = List.rev st.ospf_redistributions;
-        })
-      st.ospf
-  in
-  let acls = List.map (fun (n, es) -> Acl.make n es) (group_by_name (List.rev st.acl_entries)) in
   {
-    Config_ir.hostname = st.hostname;
-    interfaces = List.rev_map ( ! ) st.interfaces;
-    prefix_lists;
-    community_lists;
-    as_path_lists;
-    route_maps;
-    acls;
-    statics = List.rev st.statics;
-    bgp;
-    ospf;
+    Piece.hostname = st.hostname;
+    interfaces;
+    pl_entries = st.pl_entries;
+    cl_entries = st.cl_entries;
+    al_entries = st.al_entries;
+    rm_entries =
+      List.map
+        (fun (name, s) ->
+          ( name,
+            Route_map.entry ~action:s.action ~matches:(List.rev s.matches)
+              ~sets:(List.rev s.sets) s.seq ))
+        st.rm_stanzas;
+    acl_entries = st.acl_entries;
+    statics = st.statics;
+    bgp = st.bgp;
+    bgp_networks = st.bgp_networks;
+    bgp_neighbors = List.map ( ! ) st.bgp_neighbors;
+    bgp_redistributions = st.bgp_redistributions;
+    ospf = st.ospf;
+    ospf_networks = st.ospf_networks;
+    ospf_interfaces = Hashtbl.fold (fun _ oi acc -> oi :: acc) st.ospf_interfaces [];
+    ospf_redistributions = st.ospf_redistributions;
+    ospf_costs = st.ospf_costs;
+    diags = st.diags;
+    newlines;
+    shared;
+    stanzas;
   }
 
-let parse text =
+(* The one place a line gets its meaning. A line whose trimmed form starts
+   with '!' returns to top-level context. *)
+let parse_lines text =
   let st = fresh () in
   let ctx = ref Top in
   let lines = String.split_on_char '\n' text in
@@ -735,10 +718,268 @@ let parse text =
         | In_route_map stanza, true -> handle_route_map_line st ~line stanza toks
         | In_acl name, true -> handle_acl_line st ~line name toks)
     lines;
-  let ir = assemble st in
-  (ir, List.rev st.diags)
+  freeze st ~newlines:(List.length lines - 1)
+
+(* ------------------------------------------------------------------ *)
+(* Assembly                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Groups [(name, entry)] pairs (in input order) by name, keeping names in
+   first-appearance order and each name's entries in input order. A run of
+   pairs with one name (a printed list or map) costs one table lookup. *)
+let group_by_name pairs =
+  let groups = Hashtbl.create 16 in
+  let names = ref [] in
+  let group n =
+    match Hashtbl.find_opt groups n with
+    | Some entries -> entries
+    | None ->
+        let entries = ref [] in
+        Hashtbl.add groups n entries;
+        names := n :: !names;
+        entries
+  in
+  ignore
+    (List.fold_left
+       (fun last (n, e) ->
+         let ((_, entries) as current) =
+           match last with
+           | Some ((n', _) as current) when String.equal n n' -> current
+           | _ -> (n, group n)
+         in
+         entries := e :: !entries;
+         Some current)
+       None pairs);
+  List.rev_map (fun n -> (n, List.rev !(Hashtbl.find groups n))) !names
+
+(* The IR of a whole text's piece. The checks across lines warn at line 0,
+   after every line's diagnostics. *)
+let assemble (p : Piece.t) =
+  let extra = ref [] in
+  let warn fmt = Printf.ksprintf (fun s -> extra := Diag.warning ~line:0 s :: !extra) fmt in
+  let prefix_lists =
+    List.map
+      (fun (name, entries) ->
+        try Prefix_list.make name entries
+        with Invalid_argument _ ->
+          warn "prefix-list %s has duplicate sequence numbers" name;
+          (* Keep the first entry for each sequence number. *)
+          let seen = Hashtbl.create 16 in
+          let first (e : Prefix_list.entry) =
+            (not (Hashtbl.mem seen e.seq)) && (Hashtbl.add seen e.seq (); true)
+          in
+          Prefix_list.make name (List.filter first entries))
+      (group_by_name (List.rev p.pl_entries))
+  in
+  let community_lists =
+    List.map (fun (n, es) -> Community_list.make n es) (group_by_name (List.rev p.cl_entries))
+  in
+  let as_path_lists =
+    List.map (fun (n, es) -> As_path_list.make n es) (group_by_name (List.rev p.al_entries))
+  in
+  let route_maps =
+    List.map
+      (fun (name, entries) -> Route_map.make name entries)
+      (group_by_name (List.rev p.rm_entries))
+  in
+  let ospf_interfaces = Hashtbl.create 8 in
+  List.iter
+    (fun (oi : Config_ir.ospf_interface) -> Hashtbl.replace ospf_interfaces oi.iface oi)
+    p.ospf_interfaces;
+  (* Merge interface-level ospf costs into the ospf block. *)
+  (match (p.ospf, List.rev p.ospf_costs) with
+  | _, [] -> ()
+  | None, _ :: _ -> warn "'ip ospf cost' configured but there is no 'router ospf' process"
+  | Some _, costs ->
+      List.iter
+        (fun (iface, cost) ->
+          set_ospf_iface ospf_interfaces iface (fun oi -> { oi with Config_ir.cost = Some cost }))
+        costs);
+  let neighbors = List.rev p.bgp_neighbors in
+  (* Neighbors created by a non-remote-as command first. *)
+  if Option.is_some p.bgp then
+    List.iter
+      (fun (n : Config_ir.neighbor) ->
+        if n.remote_as <= 0 then
+          warn "neighbor %s has no remote-as configured" (Ipv4.to_string n.addr))
+      neighbors;
+  let bgp =
+    Option.map
+      (fun (b : Config_ir.bgp) ->
+        {
+          b with
+          Config_ir.networks = List.rev p.bgp_networks;
+          neighbors;
+          redistributions = List.rev p.bgp_redistributions;
+        })
+      p.bgp
+  in
+  let ospf =
+    Option.map
+      (fun (o : Config_ir.ospf) ->
+        {
+          o with
+          Config_ir.networks = List.rev p.ospf_networks;
+          interfaces =
+            Hashtbl.fold (fun _ oi acc -> oi :: acc) ospf_interfaces []
+            |> List.sort (fun (a : Config_ir.ospf_interface) (b : Config_ir.ospf_interface) ->
+                   Iface.compare a.iface b.iface);
+          redistributions = List.rev p.ospf_redistributions;
+        })
+      p.ospf
+  in
+  let acls = List.map (fun (n, es) -> Acl.make n es) (group_by_name (List.rev p.acl_entries)) in
+  ( {
+      Config_ir.hostname = Option.value p.hostname ~default:"router";
+      interfaces = List.rev p.interfaces;
+      prefix_lists;
+      community_lists;
+      as_path_lists;
+      route_maps;
+      acls;
+      statics = List.rev p.statics;
+      bgp;
+      ospf;
+    },
+    List.rev_append p.diags (List.rev !extra) )
+
+(* ------------------------------------------------------------------ *)
+(* Block-incremental parsing                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A '!' line returns the line loop to top-level context, so a block (the
+   lines up to and including the next '!' line) parses the same wherever it
+   sits, apart from the state [Piece.shared] and [Piece.stanzas] name. Each
+   block's piece is looked up by its text; a redraft re-parses only the
+   blocks it changed. *)
+module Blocks =
+  Memo_table.Make
+    (struct
+      type t = string
+
+      let equal = String.equal
+      let hash = Hashtbl.hash (* covers every byte of a string *)
+    end)
+    (struct
+      type t = Piece.t
+
+      let max_entries = 4096
+    end)
+
+(* The index of the first '!' in [text] at or after [pos], or the length
+   of [text]. A config has one '!' every few hundred bytes, so this tests
+   eight bytes at a time for one equal to '!'. *)
+let index_bang text pos =
+  let n = String.length text in
+  let rec bytes i = if i >= n || String.unsafe_get text i = '!' then i else bytes (i + 1) in
+  let rec words i =
+    if i + 8 > n then bytes i
+    else
+      let x = Int64.logxor (String.get_int64_le text i) 0x2121212121212121L in
+      let has_zero_byte =
+        Int64.logand (Int64.logand (Int64.sub x 0x0101010101010101L) (Int64.lognot x))
+          0x8080808080808080L
+      in
+      if Int64.equal has_zero_byte 0L then words (i + 8) else bytes i
+  in
+  words pos
+
+(* The blocks of [text] in order; each ends with its '!' line (the line
+   loop's test: the line's trimmed form starts with '!'), so their
+   concatenation is [text]. *)
+let split_blocks text =
+  let n = String.length text in
+  let rec line_start i =
+    i < 0
+    || match text.[i] with '\n' -> true | ' ' | '\t' | '\r' | '\012' -> line_start (i - 1) | _ -> false
+  in
+  let rec go start pos acc =
+    let i = index_bang text pos in
+    if i >= n then List.rev (if n > start then String.sub text start (n - start) :: acc else acc)
+    else if line_start (i - 1) then
+      let stop = match String.index_from_opt text i '\n' with Some e -> e + 1 | None -> n in
+      go stop stop (String.sub text start (stop - start) :: acc)
+    else go start (i + 1) acc
+  in
+  go 0 0 []
+
+(* Does a block touch state an earlier block touched? Then parsing it
+   alone could differ from parsing it in place. *)
+let shares_state pieces =
+  let seen = Hashtbl.create 64 and maps = Hashtbl.create 64 in
+  List.exists
+    (fun (p : Piece.t) ->
+      List.exists (fun k -> Hashtbl.mem seen k || (Hashtbl.add seen k (); false)) p.shared
+      || List.exists
+           (fun (name, seqs) ->
+             match Hashtbl.find_opt maps name with
+             | None ->
+                 Hashtbl.add maps name seqs;
+                 false
+             | Some earlier ->
+                 List.exists (fun s -> List.mem s earlier) seqs
+                 || (Hashtbl.replace maps name (seqs @ earlier);
+                     false))
+           p.stanzas)
+    pieces
+
+let empty = freeze (fresh ()) ~newlines:0
+
+(* Concatenates the pieces in text order, moving each block's diagnostics
+   to its place in the text. *)
+let merge pieces =
+  let later some earlier = match some with Some _ -> some | None -> earlier in
+  List.fold_left
+    (fun (acc : Piece.t) (p : Piece.t) ->
+      let offset = acc.newlines in
+      {
+        Piece.hostname = later p.hostname acc.hostname;
+        interfaces = p.interfaces @ acc.interfaces;
+        pl_entries = p.pl_entries @ acc.pl_entries;
+        cl_entries = p.cl_entries @ acc.cl_entries;
+        al_entries = p.al_entries @ acc.al_entries;
+        rm_entries = p.rm_entries @ acc.rm_entries;
+        acl_entries = p.acl_entries @ acc.acl_entries;
+        statics = p.statics @ acc.statics;
+        bgp = later p.bgp acc.bgp;
+        bgp_networks = p.bgp_networks @ acc.bgp_networks;
+        bgp_neighbors = p.bgp_neighbors @ acc.bgp_neighbors;
+        bgp_redistributions = p.bgp_redistributions @ acc.bgp_redistributions;
+        ospf = later p.ospf acc.ospf;
+        ospf_networks = p.ospf_networks @ acc.ospf_networks;
+        ospf_interfaces = p.ospf_interfaces @ acc.ospf_interfaces;
+        ospf_redistributions = p.ospf_redistributions @ acc.ospf_redistributions;
+        ospf_costs = p.ospf_costs @ acc.ospf_costs;
+        diags =
+          List.map (fun (d : Diag.t) -> { d with line = d.line + offset }) p.diags
+          @ acc.diags;
+        newlines = offset + p.newlines;
+        shared = [];
+        stanzas = [];
+      })
+    empty pieces
+
+let parse_whole text = assemble (parse_lines text)
+
+let parse text =
+  let pieces =
+    List.map (fun block -> Blocks.memo block (fun () -> parse_lines block)) (split_blocks text)
+  in
+  assemble (if shares_state pieces then parse_lines text else merge pieces)
 
 let parse_clean text =
   match parse text with
   | ir, [] -> Ok ir
   | _, diags -> Error diags
+
+let reset_cache () = Blocks.reset ()
+
+let audit_cache () =
+  Blocks.fold
+    (fun block cached acc ->
+      match acc with
+      | Error _ -> acc
+      | Ok n ->
+          if parse_lines block = cached then Ok (n + 1)
+          else Error (List.hd (String.split_on_char '\n' block)))
+    (Ok 0)

@@ -127,41 +127,47 @@ let clean_pred communities =
   in
   Symbolic.Pred.of_cube (Symbolic.Cube.make ~comms:cube ())
 
+(* The hub has n - 1 tag specs and (n - 1)^2 filter specs. Each spoke's
+   community, its predicate and its text are computed once, so building
+   the list is linear in its length. *)
 let hub_specs (star : Star.t) =
-  let community s = Option.get (Star.community_of star s) in
-  let spokes = star.Star.spokes in
-  let tag_specs =
+  let spokes =
     List.map
       (fun s ->
+        let c = Option.get (Star.community_of star s) in
+        (s, c, community_pred c, Community.to_string c))
+      star.Star.spokes
+  in
+  let tag_specs =
+    List.map
+      (fun (s, c, _, _) ->
         {
           Batfish.Search_route_policies.policy = ingress_map_name s;
           space = Symbolic.Pred.full;
-          requirement = Batfish.Search_route_policies.Adds_community (community s);
+          requirement = Batfish.Search_route_policies.Adds_community c;
           description = Printf.sprintf "every route learned from %s" s;
         })
       spokes
   in
   let filter_specs =
     List.concat_map
-      (fun s ->
-        let others = List.filter (fun x -> x <> s) spokes in
+      (fun (s, _, _, _) ->
+        let others = List.filter (fun (x, _, _, _) -> x <> s) spokes in
         List.map
-          (fun other ->
+          (fun (other, _, pred, text) ->
             {
               Batfish.Search_route_policies.policy = egress_map_name s;
-              space = community_pred (community other);
+              space = pred;
               requirement = Batfish.Search_route_policies.Denies;
               description =
                 Printf.sprintf "routes carrying %s's community %s, at the egress to %s"
-                  other
-                  (Community.to_string (community other))
-                  s;
+                  other text s;
             })
           others
         @ [
             {
               Batfish.Search_route_policies.policy = egress_map_name s;
-              space = clean_pred (List.map community others);
+              space = clean_pred (List.map (fun (_, c, _, _) -> c) others);
               requirement = Batfish.Search_route_policies.Permits;
               description =
                 Printf.sprintf

@@ -62,6 +62,19 @@ let check dialect s =
   (match guard ~label:(dname ^ "-parse") ~input:s (fun () -> parse_fn dialect s) with
   | Error c -> crash "total-parse" c
   | Ok (ir, diags) ->
+      (* The block-incremental Cisco parse must equal the line loop over
+         the whole text. *)
+      (match dialect with
+      | Corpus.Junos -> ()
+      | Corpus.Cisco -> (
+          match
+            guard ~label:(dname ^ "-parse-whole") ~input:s (fun () -> Cisco.Parser.parse_whole s)
+          with
+          | Error c -> crash "total-parse" c
+          | Ok whole ->
+              if whole <> (ir, diags) then
+                fail "block-parse" (dname ^ "-parse") "Block_mismatch"
+                  "block parse differs from the whole-text parse"));
       (* Round trip: print the parse, reparse, reprint — the two printed
          forms must agree when the first parse was clean (parse∘print is a
          fixpoint on the parser's own output). *)

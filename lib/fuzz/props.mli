@@ -4,9 +4,10 @@
 
 type violation = {
   property : string;
-      (** Which property broke: ["total-parse"], ["total-print"],
-          ["print-reparse"], ["print-fixpoint"], ["total-differ"],
-          ["total-bgp-sim"], ["total-ospf-sim"], or ["canary"]. *)
+      (** Which property broke: ["total-parse"], ["block-parse"],
+          ["total-print"], ["print-reparse"], ["print-fixpoint"],
+          ["total-differ"], ["total-bgp-sim"], ["total-ospf-sim"], or
+          ["canary"]. *)
   stage : string;  (** The Guard label of the crashing stage. *)
   constructor : string;  (** Exception constructor (or synthetic tag). *)
   detail : string;
@@ -25,7 +26,8 @@ type escape = {
 val escape_to_string : escape -> string
 
 val check : Corpus.dialect -> string -> violation list
-(** Run every property on one input: guarded parse; guarded
+(** Run every property on one input: guarded parse; for Cisco, the
+    block-incremental parse equal to {!Cisco.Parser.parse_whole}; guarded
     print → reparse → reprint with the printed forms compared (the
     parse∘print fixpoint, checked only when the first parse is clean);
     guarded differ against the stock reference in both directions; guarded

@@ -121,6 +121,17 @@ let connected_prefixes t =
 let undefined_references t =
   let missing = ref [] in
   let note kind name = missing := Printf.sprintf "%s %s" kind name :: !missing in
+  (* One name table per kind, so each reference is checked in O(1). *)
+  let defined name_of items =
+    let names = Hashtbl.create 64 in
+    List.iter (fun x -> Hashtbl.replace names (name_of x) ()) items;
+    Hashtbl.mem names
+  in
+  let route_map = defined (fun (m : Route_map.t) -> m.name) t.route_maps in
+  let acl = defined (fun (a : Acl.t) -> a.Acl.name) t.acls in
+  let prefix_list = defined (fun (l : Prefix_list.t) -> l.name) t.prefix_lists in
+  let community_list = defined (fun (l : Community_list.t) -> l.name) t.community_lists in
+  let as_path_list = defined (fun (l : As_path_list.t) -> l.name) t.as_path_lists in
   let policy_refs =
     (match t.bgp with
     | None -> []
@@ -136,26 +147,40 @@ let undefined_references t =
     | Some o -> List.filter_map (fun r -> r.policy) o.redistributions
   in
   List.iter
-    (fun name -> if find_route_map t name = None then note "route-map" name)
+    (fun name -> if not (route_map name) then note "route-map" name)
     (List.sort_uniq String.compare policy_refs);
   List.iter
     (fun (i : interface) ->
       List.iter
-        (fun name ->
-          if find_acl t name = None then note "access-list" name)
+        (fun name -> if not (acl name) then note "access-list" name)
         (Option.to_list i.acl_in @ Option.to_list i.acl_out))
     t.interfaces;
+  (* The references [Route_map.*_lists_referenced] list, visited in place:
+     the final [sort_uniq] drops repeats. *)
   List.iter
     (fun (m : Route_map.t) ->
       List.iter
-        (fun n -> if find_prefix_list t n = None then note "prefix-list" n)
-        (Route_map.prefix_lists_referenced m);
-      List.iter
-        (fun n -> if find_community_list t n = None then note "community-list" n)
-        (Route_map.community_lists_referenced m);
-      List.iter
-        (fun n -> if find_as_path_list t n = None then note "as-path-list" n)
-        (Route_map.as_path_lists_referenced m))
+        (fun (e : Route_map.entry) ->
+          List.iter
+            (function
+              | Route_map.Match_prefix_list n ->
+                  if not (prefix_list n) then note "prefix-list" n
+              | Route_map.Match_community_list n ->
+                  if not (community_list n) then note "community-list" n
+              | Route_map.Match_as_path n -> if not (as_path_list n) then note "as-path-list" n
+              | Route_map.Match_source_protocol _ | Route_map.Match_med _ | Route_map.Match_tag _
+                ->
+                  ())
+            e.matches;
+          List.iter
+            (function
+              | Route_map.Set_community_delete n ->
+                  if not (community_list n) then note "community-list" n
+              | Route_map.Set_med _ | Route_map.Set_local_pref _ | Route_map.Set_community _
+              | Route_map.Set_next_hop _ | Route_map.Set_as_path_prepend _ ->
+                  ())
+            e.sets)
+        m.entries)
     t.route_maps;
   List.sort_uniq String.compare !missing
 

@@ -300,6 +300,201 @@ let test_cisco_hub_round_trip () =
     [ 30; 60; 120 ]
 
 (* ------------------------------------------------------------------ *)
+(* Block-incremental parsing                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* [Cisco.Parser.parse] must return exactly what the line loop returns on
+   the whole text, compared as (IR, diagnostics): once with one table warm
+   across all [texts], as in a long-lived process, and once cold per text.
+   Every block left in the table must then equal a fresh parse. *)
+let check_blocks what texts =
+  let differs i mode =
+    Alcotest.failf "%s, text %d (%s): block parse differs from the whole-text parse:\n%s" what i
+      mode (List.nth texts i)
+  in
+  Cisco.Parser.reset_cache ();
+  List.iteri
+    (fun i t -> if Cisco.Parser.parse t <> Cisco.Parser.parse_whole t then differs i "warm")
+    texts;
+  (match Cisco.Parser.audit_cache () with
+  | Ok n -> check bool_t (what ^ ": blocks audited") true (n > 0 || texts = [])
+  | Error line -> Alcotest.failf "%s: stale cached block starting %S" what line);
+  List.iteri
+    (fun i t ->
+      Cisco.Parser.reset_cache ();
+      if Cisco.Parser.parse t <> Cisco.Parser.parse_whole t then differs i "cold")
+    texts
+
+let test_blocks_samples () =
+  check_blocks "samples"
+    [ Cisco.Samples.border_router; Cisco.Samples.minimal; Cisco.Samples.edge_router ]
+
+let plan_routers n =
+  List.map
+    (fun (t : Cosynth.Modularizer.router_task) -> t.Cosynth.Modularizer.correct)
+    (Cosynth.Modularizer.plan (Star.make ~routers:n))
+
+let test_blocks_plan_routers () =
+  check_blocks "plan routers"
+    (List.concat_map
+       (fun n -> List.map (fun c -> Cisco.Printer.print c) (plan_routers n))
+       (List.init 15 (fun i -> i + 2) @ [ 30; 60 ]))
+
+(* Every draft of a few correction rounds of faulty chats: all routers at
+   n = 7, the hub at n = 30 and 60. *)
+let test_blocks_faulty_drafts () =
+  let iips = Cosynth.Iip.ids Cosynth.Iip.defaults in
+  let drafts correct seed =
+    let chat = Llmsim.Chat.start ~seed ~iips Llmsim.Fault.Cisco_cfg ~correct in
+    let rec rounds k acc =
+      let acc = Llmsim.Chat.draft chat :: acc in
+      match Llmsim.Chat.live_faults chat with
+      | [] -> acc
+      | live when k < 5 ->
+          Llmsim.Chat.respond chat
+            (Llmsim.Chat.auto_prompt (List.nth live (k mod List.length live)));
+          rounds (k + 1) acc
+      | _ -> acc
+    in
+    List.rev (rounds 0 [])
+  in
+  let configs = plan_routers 7 @ [ List.hd (plan_routers 30); List.hd (plan_routers 60) ] in
+  check_blocks "faulty drafts"
+    (List.concat_map (fun c -> List.concat_map (drafts c) [ 1; 2; 3; 4 ]) configs)
+
+(* Texts whose blocks share state, and the corners of the block split. *)
+let planted =
+  [
+    ( "duplicate stanza",
+      lines
+        [ "route-map M permit 10"; " set metric 1"; "!"; "route-map M permit 10"; " set metric 2"; "!" ] );
+    ( "one map across blocks",
+      lines
+        [
+          "route-map M permit 10"; " set metric 1"; "!"; "route-map N deny 10"; "!";
+          "route-map M deny 20"; " match tag 3"; "!";
+        ] );
+    ( "reopened interface",
+      lines
+        [
+          "interface Ethernet0/0"; " ip address 10.0.0.1 255.255.255.0"; "!";
+          "interface Ethernet0/0"; " description again"; " ip access-group A in"; "!";
+        ] );
+    ( "reopened ACL",
+      lines
+        [
+          "ip access-list extended A"; " permit ip any any"; "!"; "ip access-list extended B";
+          " permit ip any any"; "!"; "ip access-list extended A"; " deny ip any any"; "!";
+        ] );
+    ( "second router bgp",
+      lines
+        [
+          "router bgp 1"; " neighbor 1.1.1.1 remote-as 2"; "!"; "router bgp 5";
+          " bgp router-id 9.9.9.9"; " neighbor 1.1.1.1 route-map X out";
+          " neighbor 2.2.2.2 send-community"; "!";
+        ] );
+    ( "second router ospf",
+      lines
+        [
+          "router ospf 1"; " passive-interface Ethernet0/1"; "!"; "router ospf 2";
+          " router-id 1.1.1.1"; " passive-interface Ethernet0/1"; "!";
+          "interface Ethernet0/1"; " ip ospf cost 7"; "!";
+        ] );
+    ( "neighbor after !",
+      lines
+        [
+          "router bgp 1"; " neighbor 1.1.1.1 remote-as 2"; "!"; " neighbor 1.1.1.1 route-map X out";
+          "neighbor 1.1.1.1 send-community"; "!";
+        ] );
+    ("no !", String.concat "\n" (List.filter (fun l -> String.trim l <> "!") (String.split_on_char '\n' Cisco.Samples.border_router)));
+    ( "tab-indented lines",
+      lines
+        [
+          "interface Ethernet0/0"; "\tip address 10.0.0.1 255.255.255.0"; "!"; "route-map M permit 10";
+          "\tset metric 5"; "\t!"; "\tset metric 6"; "!";
+        ] );
+    ("no final newline", "hostname a\n!\nrouter bgp 1\n neighbor 1.1.1.1 remote-as 2");
+    ("two hostnames", lines [ "hostname a"; "!"; "hostname b"; "!"; "!"; "hostname"; "!" ]);
+    ( "! lines of every shape",
+      "hostname a\r\n!\r\nroute-map M permit 10\r\n set metric 1\r\n  ! note\n\t!\nx ! y\n!!\n \x0c!\n" );
+    ("only ! lines", "!\n!\n\n!");
+    ("empty", "");
+  ]
+
+let test_blocks_planted () = check_blocks "planted" (List.map snd planted)
+
+(* Each diagnostic keeps the line number it has in the whole text. *)
+let test_blocks_diag_lines () =
+  let text =
+    lines
+      [
+        "hostname r"; "!"; "interface Ethernet0/0"; " ip address 1.2.3.4 255.0.255.0"; "!"; "";
+        "bogus statement"; "!"; "route-map M permit 10"; " match community 100:1"; "!";
+        "router bgp 1"; " neighbor 1.1.1.1 route-map M out";
+      ]
+  in
+  Cisco.Parser.reset_cache ();
+  List.iter
+    (fun mode ->
+      let _, diags = Cisco.Parser.parse text in
+      check (Alcotest.list int_t) (mode ^ ": diagnostic lines") [ 4; 7; 10; 0 ]
+        (List.map (fun (d : Diag.t) -> d.Diag.line) diags))
+    [ "cold"; "warm" ]
+
+(* The golden run settings (plain, adversary, trust, chaos) on all three
+   use cases, from cold caches: every block they leave in the table must
+   equal a fresh parse. *)
+let test_blocks_audit_golden () =
+  Exec.Memo.reset ();
+  Cisco.Parser.reset_cache ();
+  List.iter
+    (fun (_, resilience, adversary, trust) ->
+      List.iter
+        (fun seed ->
+          ignore
+            (Cosynth.Driver.run_translation ~seed ?resilience ?adversary ?trust
+               ~cisco_text:Cisco.Samples.border_router ());
+          ignore (Cosynth.Driver.run_no_transit ~seed ?resilience ?adversary ?trust ~routers:7 ());
+          ignore (Cosynth.Driver.run_incremental ~seed ?resilience ?adversary ?trust ~routers:5 ()))
+        [ 1; 2; 3 ])
+    Run_settings.all;
+  match Cisco.Parser.audit_cache () with
+  | Ok n -> check bool_t "blocks audited" true (n > 0)
+  | Error line -> Alcotest.failf "stale cached block starting %S" line
+
+(* Random sequences of blocks, some sharing state, joined by '!' lines of
+   several shapes or by nothing (which merges two blocks into one). *)
+let prop_blocks_random_sequences =
+  let fragments =
+    [
+      "hostname a"; "hostname b";
+      "interface Ethernet0/0\n ip address 10.0.0.1 255.255.255.0";
+      "interface Ethernet0/0\n ip ospf cost 3\n shutdown";
+      "interface Ethernet0/1\n ip address 10.0.1.1 255.255.255.0\n ip access-group A out";
+      "ip access-list extended A\n permit tcp any any eq 22\n deny ip any any";
+      "ip access-list extended A\n permit udp any host 1.2.3.4";
+      "ip prefix-list P seq 5 permit 10.0.0.0/8 le 24"; "ip prefix-list P seq 5 deny 0.0.0.0/0";
+      "ip community-list standard CL permit 100:1";
+      "route-map M permit 10\n match community CL\n set metric 5";
+      "route-map M deny 20\n match ip address prefix-list P"; "route-map M permit 10";
+      "route-map N permit 10\n set local-preference 200";
+      "router bgp 1\n bgp router-id 1.1.1.1\n neighbor 1.1.1.2 remote-as 2\n neighbor 1.1.1.2 route-map M out";
+      "router bgp 1\n neighbor 1.1.1.3 send-community";
+      " neighbor 1.1.1.2 route-map N in"; "router ospf 1\n network 10.0.0.0 0.0.0.255 area 0\n passive-interface Ethernet0/1";
+      "router ospf 1\n redistribute bgp 1 route-map M"; " set metric 9"; "ip route 0.0.0.0 0.0.0.0 10.0.0.2";
+      "configure terminal"; "";
+    ]
+  in
+  let separators = [ "\n!\n"; "\n  !\n"; "\n! comment\n"; "\n"; "\n\n!\n\n" ] in
+  let gen =
+    QCheck2.Gen.(list_size (int_range 1 10) (pair (oneofl fragments) (oneofl separators)))
+  in
+  QCheck2.Test.make ~name:"cisco block parse equals the line loop on random block sequences"
+    ~count:500 gen (fun parts ->
+      let text = String.concat "" (List.map (fun (f, sep) -> f ^ sep) parts) in
+      Cisco.Parser.parse text = Cisco.Parser.parse_whole text)
+
+(* ------------------------------------------------------------------ *)
 (* Junos                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -680,6 +875,7 @@ let props =
       prop_route_filters_preserve_semantics;
       prop_cisco_round_trip_route_maps;
       prop_junos_print_parse_fixpoint;
+      prop_blocks_random_sequences;
     ]
 
 let () =
@@ -716,6 +912,15 @@ let () =
           Alcotest.test_case "stanza lines in order" `Quick test_cisco_stanza_lines_in_order;
           Alcotest.test_case "reopened ACL numbering" `Quick test_cisco_acl_reopened_seq;
           Alcotest.test_case "hub print . parse at 30/60/120" `Quick test_cisco_hub_round_trip;
+        ] );
+      ( "cisco-blocks",
+        [
+          Alcotest.test_case "samples" `Quick test_blocks_samples;
+          Alcotest.test_case "plan routers at 2..16, 30, 60" `Quick test_blocks_plan_routers;
+          Alcotest.test_case "faulty drafts" `Quick test_blocks_faulty_drafts;
+          Alcotest.test_case "planted cross-block cases" `Quick test_blocks_planted;
+          Alcotest.test_case "diagnostic line numbers" `Quick test_blocks_diag_lines;
+          Alcotest.test_case "audit after the golden settings" `Quick test_blocks_audit_golden;
         ] );
       ( "junos",
         [

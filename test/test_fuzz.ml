@@ -161,7 +161,10 @@ let test_corpus_replay_clean () =
           Alcotest.failf "regression crasher %s escaped: %s" file
             (Fuzz.Props.escape_to_string e))
         escapes)
-    results
+    results;
+  match Cisco.Parser.audit_cache () with
+  | Ok n -> check bool_t "replayed Cisco blocks audited" true (n > 0)
+  | Error line -> Alcotest.failf "stale cached Cisco block starting %S" line
 
 let test_promote_idempotent () =
   let dir = Filename.temp_file "cosynth-promote" "" in
