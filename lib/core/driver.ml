@@ -1107,7 +1107,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
      with the star: with the default budget of 400, fault-free runs over 10
      seeds all converge at n <= 15, 4 converge at n = 20 and none at
      n = 25. At n = 60 the hub's share is 399 / 60 = 6 prompts and no run
-     verifies. ROADMAP item 4a replaces the even split. *)
+     verifies. ROADMAP item 2 replaces the even split. *)
   let router_budget =
     if tasks = [] then 0
     else max 0 ((max_prompts - (st.auto + st.human)) / List.length tasks)
