@@ -276,7 +276,8 @@ let handle_ospf_line st ~line toks =
       | _ -> err st ~line "malformed ospf network statement")
   | [ "passive-interface"; ifname ] -> (
       match Iface.of_cisco ifname with
-      | Some iface -> set_ospf_iface st.ospf_interfaces iface (fun oi -> { oi with Config_ir.passive = true })
+      | Some iface ->
+          set_ospf_iface st.ospf_interfaces iface (fun oi -> { oi with Config_ir.passive = true })
       | None -> err st ~line "unknown interface '%s'" ifname)
   | "redistribute" :: rest -> (
       match parse_redistribute st ~line rest with
@@ -594,7 +595,6 @@ let dispatch_top st ~line toks : context =
       err st ~line "unrecognized statement: '%s'" (String.concat " " toks);
       Top
 
-
 (* ------------------------------------------------------------------ *)
 (* The line loop                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -725,32 +725,22 @@ let parse_lines text =
 (* ------------------------------------------------------------------ *)
 
 (* Groups [(name, entry)] pairs (in input order) by name, keeping names in
-   first-appearance order and each name's entries in input order. A run of
-   pairs with one name (a printed list or map) costs one table lookup. *)
+   first-appearance order and each name's entries in input order. *)
 let group_by_name pairs =
   let groups = Hashtbl.create 16 in
-  let names = ref [] in
-  let group n =
-    match Hashtbl.find_opt groups n with
-    | Some entries -> entries
-    | None ->
-        let entries = ref [] in
-        Hashtbl.add groups n entries;
-        names := n :: !names;
-        entries
+  let names =
+    List.fold_left
+      (fun names (n, e) ->
+        match Hashtbl.find_opt groups n with
+        | Some entries ->
+            entries := e :: !entries;
+            names
+        | None ->
+            Hashtbl.add groups n (ref [ e ]);
+            n :: names)
+      [] pairs
   in
-  ignore
-    (List.fold_left
-       (fun last (n, e) ->
-         let ((_, entries) as current) =
-           match last with
-           | Some ((n', _) as current) when String.equal n n' -> current
-           | _ -> (n, group n)
-         in
-         entries := e :: !entries;
-         Some current)
-       None pairs);
-  List.rev_map (fun n -> (n, List.rev !(Hashtbl.find groups n))) !names
+  List.rev_map (fun n -> (n, List.rev !(Hashtbl.find groups n))) names
 
 (* The IR of a whole text's piece. The checks across lines warn at line 0,
    after every line's diagnostics. *)
@@ -891,7 +881,11 @@ let split_blocks text =
   let n = String.length text in
   let rec line_start i =
     i < 0
-    || match text.[i] with '\n' -> true | ' ' | '\t' | '\r' | '\012' -> line_start (i - 1) | _ -> false
+    ||
+    match text.[i] with
+    | '\n' -> true
+    | ' ' | '\t' | '\r' | '\012' -> line_start (i - 1)
+    | _ -> false
   in
   let rec go start pos acc =
     let i = index_bang text pos in

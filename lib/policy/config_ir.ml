@@ -155,32 +155,15 @@ let undefined_references t =
         (fun name -> if not (acl name) then note "access-list" name)
         (Option.to_list i.acl_in @ Option.to_list i.acl_out))
     t.interfaces;
-  (* The references [Route_map.*_lists_referenced] list, visited in place:
-     the final [sort_uniq] drops repeats. *)
   List.iter
     (fun (m : Route_map.t) ->
       List.iter
-        (fun (e : Route_map.entry) ->
-          List.iter
-            (function
-              | Route_map.Match_prefix_list n ->
-                  if not (prefix_list n) then note "prefix-list" n
-              | Route_map.Match_community_list n ->
-                  if not (community_list n) then note "community-list" n
-              | Route_map.Match_as_path n -> if not (as_path_list n) then note "as-path-list" n
-              | Route_map.Match_source_protocol _ | Route_map.Match_med _ | Route_map.Match_tag _
-                ->
-                  ())
-            e.matches;
-          List.iter
-            (function
-              | Route_map.Set_community_delete n ->
-                  if not (community_list n) then note "community-list" n
-              | Route_map.Set_med _ | Route_map.Set_local_pref _ | Route_map.Set_community _
-              | Route_map.Set_next_hop _ | Route_map.Set_as_path_prepend _ ->
-                  ())
-            e.sets)
-        m.entries)
+        (fun (kind, n) ->
+          match kind with
+          | `Prefix_list -> if not (prefix_list n) then note "prefix-list" n
+          | `Community_list -> if not (community_list n) then note "community-list" n
+          | `As_path_list -> if not (as_path_list n) then note "as-path-list" n)
+        (Route_map.list_references m))
     t.route_maps;
   List.sort_uniq String.compare !missing
 

@@ -45,29 +45,20 @@ let find_entry t seq = List.find_opt (fun e -> e.seq = seq) t.entries
 let permit_all name = make name [ entry 10 ]
 let deny_all name = make name [ entry ~action:Action.Deny 10 ]
 
-let referenced f t =
-  List.concat_map (fun e -> List.filter_map f e.matches) t.entries
-  |> List.sort_uniq String.compare
-
-let prefix_lists_referenced t =
-  referenced (function Match_prefix_list n -> Some n | _ -> None) t
-
-let community_lists_referenced t =
-  let in_matches =
-    referenced (function Match_community_list n -> Some n | _ -> None) t
-  in
-  let in_sets =
-    List.concat_map
-      (fun e ->
-        List.filter_map
-          (function Set_community_delete n -> Some n | _ -> None)
+let list_references t =
+  List.concat_map
+    (fun e ->
+      List.filter_map
+        (function
+          | Match_prefix_list n -> Some (`Prefix_list, n)
+          | Match_community_list n -> Some (`Community_list, n)
+          | Match_as_path n -> Some (`As_path_list, n)
+          | Match_source_protocol _ | Match_med _ | Match_tag _ -> None)
+        e.matches
+      @ List.filter_map
+          (function Set_community_delete n -> Some (`Community_list, n) | _ -> None)
           e.sets)
-      t.entries
-  in
-  List.sort_uniq String.compare (in_matches @ in_sets)
-
-let as_path_lists_referenced t =
-  referenced (function Match_as_path n -> Some n | _ -> None) t
+    t.entries
 
 let match_cond_to_string = function
   | Match_prefix_list n -> Printf.sprintf "match prefix-list %s" n

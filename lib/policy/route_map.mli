@@ -51,9 +51,10 @@ val permit_all : string -> t
 
 val deny_all : string -> t
 
-val prefix_lists_referenced : t -> string list
-val community_lists_referenced : t -> string list
-val as_path_lists_referenced : t -> string list
+val list_references :
+  t -> ([ `Prefix_list | `Community_list | `As_path_list ] * string) list
+(** Every list the map's entries name, in entry order and with repeats:
+    each entry's match conditions, then its [set comm-list ... delete]. *)
 
 val match_cond_to_string : match_cond -> string
 val set_action_to_string : set_action -> string

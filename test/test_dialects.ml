@@ -364,59 +364,112 @@ let test_blocks_faulty_drafts () =
 
 (* Texts whose blocks share state, and the corners of the block split. *)
 let planted =
+  let without_bangs text =
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> String.trim l <> "!")
+    |> String.concat "\n"
+  in
   [
     ( "duplicate stanza",
       lines
-        [ "route-map M permit 10"; " set metric 1"; "!"; "route-map M permit 10"; " set metric 2"; "!" ] );
+        [
+          "route-map M permit 10";
+          " set metric 1";
+          "!";
+          "route-map M permit 10";
+          " set metric 2";
+          "!";
+        ] );
     ( "one map across blocks",
       lines
         [
-          "route-map M permit 10"; " set metric 1"; "!"; "route-map N deny 10"; "!";
-          "route-map M deny 20"; " match tag 3"; "!";
+          "route-map M permit 10";
+          " set metric 1";
+          "!";
+          "route-map N deny 10";
+          "!";
+          "route-map M deny 20";
+          " match tag 3";
+          "!";
         ] );
     ( "reopened interface",
       lines
         [
-          "interface Ethernet0/0"; " ip address 10.0.0.1 255.255.255.0"; "!";
-          "interface Ethernet0/0"; " description again"; " ip access-group A in"; "!";
+          "interface Ethernet0/0";
+          " ip address 10.0.0.1 255.255.255.0";
+          "!";
+          "interface Ethernet0/0";
+          " description again";
+          " ip access-group A in";
+          "!";
         ] );
     ( "reopened ACL",
       lines
         [
-          "ip access-list extended A"; " permit ip any any"; "!"; "ip access-list extended B";
-          " permit ip any any"; "!"; "ip access-list extended A"; " deny ip any any"; "!";
+          "ip access-list extended A";
+          " permit ip any any";
+          "!";
+          "ip access-list extended B";
+          " permit ip any any";
+          "!";
+          "ip access-list extended A";
+          " deny ip any any";
+          "!";
         ] );
     ( "second router bgp",
       lines
         [
-          "router bgp 1"; " neighbor 1.1.1.1 remote-as 2"; "!"; "router bgp 5";
-          " bgp router-id 9.9.9.9"; " neighbor 1.1.1.1 route-map X out";
-          " neighbor 2.2.2.2 send-community"; "!";
+          "router bgp 1";
+          " neighbor 1.1.1.1 remote-as 2";
+          "!";
+          "router bgp 5";
+          " bgp router-id 9.9.9.9";
+          " neighbor 1.1.1.1 route-map X out";
+          " neighbor 2.2.2.2 send-community";
+          "!";
         ] );
     ( "second router ospf",
       lines
         [
-          "router ospf 1"; " passive-interface Ethernet0/1"; "!"; "router ospf 2";
-          " router-id 1.1.1.1"; " passive-interface Ethernet0/1"; "!";
-          "interface Ethernet0/1"; " ip ospf cost 7"; "!";
+          "router ospf 1";
+          " passive-interface Ethernet0/1";
+          "!";
+          "router ospf 2";
+          " router-id 1.1.1.1";
+          " passive-interface Ethernet0/1";
+          "!";
+          "interface Ethernet0/1";
+          " ip ospf cost 7";
+          "!";
         ] );
     ( "neighbor after !",
       lines
         [
-          "router bgp 1"; " neighbor 1.1.1.1 remote-as 2"; "!"; " neighbor 1.1.1.1 route-map X out";
-          "neighbor 1.1.1.1 send-community"; "!";
+          "router bgp 1";
+          " neighbor 1.1.1.1 remote-as 2";
+          "!";
+          " neighbor 1.1.1.1 route-map X out";
+          "neighbor 1.1.1.1 send-community";
+          "!";
         ] );
-    ("no !", String.concat "\n" (List.filter (fun l -> String.trim l <> "!") (String.split_on_char '\n' Cisco.Samples.border_router)));
+    ("no !", without_bangs Cisco.Samples.border_router);
     ( "tab-indented lines",
       lines
         [
-          "interface Ethernet0/0"; "\tip address 10.0.0.1 255.255.255.0"; "!"; "route-map M permit 10";
-          "\tset metric 5"; "\t!"; "\tset metric 6"; "!";
+          "interface Ethernet0/0";
+          "\tip address 10.0.0.1 255.255.255.0";
+          "!";
+          "route-map M permit 10";
+          "\tset metric 5";
+          "\t!";
+          "\tset metric 6";
+          "!";
         ] );
     ("no final newline", "hostname a\n!\nrouter bgp 1\n neighbor 1.1.1.1 remote-as 2");
     ("two hostnames", lines [ "hostname a"; "!"; "hostname b"; "!"; "!"; "hostname"; "!" ]);
     ( "! lines of every shape",
-      "hostname a\r\n!\r\nroute-map M permit 10\r\n set metric 1\r\n  ! note\n\t!\nx ! y\n!!\n \x0c!\n" );
+      "hostname a\r\n!\r\nroute-map M permit 10\r\n set metric 1\r\n  ! note\n\t!\nx ! y\n!!\n\
+       \x0c!\n" );
     ("only ! lines", "!\n!\n\n!");
     ("empty", "");
   ]
@@ -467,22 +520,30 @@ let test_blocks_audit_golden () =
 let prop_blocks_random_sequences =
   let fragments =
     [
-      "hostname a"; "hostname b";
+      "hostname a";
+      "hostname b";
       "interface Ethernet0/0\n ip address 10.0.0.1 255.255.255.0";
       "interface Ethernet0/0\n ip ospf cost 3\n shutdown";
       "interface Ethernet0/1\n ip address 10.0.1.1 255.255.255.0\n ip access-group A out";
       "ip access-list extended A\n permit tcp any any eq 22\n deny ip any any";
       "ip access-list extended A\n permit udp any host 1.2.3.4";
-      "ip prefix-list P seq 5 permit 10.0.0.0/8 le 24"; "ip prefix-list P seq 5 deny 0.0.0.0/0";
+      "ip prefix-list P seq 5 permit 10.0.0.0/8 le 24";
+      "ip prefix-list P seq 5 deny 0.0.0.0/0";
       "ip community-list standard CL permit 100:1";
       "route-map M permit 10\n match community CL\n set metric 5";
-      "route-map M deny 20\n match ip address prefix-list P"; "route-map M permit 10";
+      "route-map M deny 20\n match ip address prefix-list P";
+      "route-map M permit 10";
       "route-map N permit 10\n set local-preference 200";
-      "router bgp 1\n bgp router-id 1.1.1.1\n neighbor 1.1.1.2 remote-as 2\n neighbor 1.1.1.2 route-map M out";
+      "router bgp 1\n bgp router-id 1.1.1.1\n neighbor 1.1.1.2 remote-as 2\n\
+      \ neighbor 1.1.1.2 route-map M out";
       "router bgp 1\n neighbor 1.1.1.3 send-community";
-      " neighbor 1.1.1.2 route-map N in"; "router ospf 1\n network 10.0.0.0 0.0.0.255 area 0\n passive-interface Ethernet0/1";
-      "router ospf 1\n redistribute bgp 1 route-map M"; " set metric 9"; "ip route 0.0.0.0 0.0.0.0 10.0.0.2";
-      "configure terminal"; "";
+      " neighbor 1.1.1.2 route-map N in";
+      "router ospf 1\n network 10.0.0.0 0.0.0.255 area 0\n passive-interface Ethernet0/1";
+      "router ospf 1\n redistribute bgp 1 route-map M";
+      " set metric 9";
+      "ip route 0.0.0.0 0.0.0.0 10.0.0.2";
+      "configure terminal";
+      "";
     ]
   in
   let separators = [ "\n!\n"; "\n  !\n"; "\n! comment\n"; "\n"; "\n\n!\n\n" ] in
