@@ -566,6 +566,46 @@ let golden_hub60_pin = "b284d7e7e588dff148cd794c2839dcd0"
 let test_golden_hub60 () =
   check Alcotest.string "hub drafts at 60 routers" golden_hub60_pin (golden_hub60 ())
 
+(* The border router's translation chat, as the driver starts it: every
+   Junos draft and its live faults over up to 20 correction rounds, for
+   seeds 1-8 and the Table 2 forced-fault run. Each round prompts one live
+   fault, alternating automated and human prompts, so the drafts cover
+   fixes, morphs, regressions and reintroductions. The translation pin
+   above covers final texts only; this one covers every draft in between. *)
+let golden_border_junos () =
+  let correct = Juniper.Translate.of_cisco_ir (fst (Cisco.Parser.parse cisco_text)) in
+  let run ?(force_faults = []) ?(suppress_random = false) seed =
+    let chat =
+      Llmsim.Chat.start ~seed ~force_faults ~suppress_random ~regression_rate:0.2
+        Llmsim.Fault.Junos_cfg ~correct
+    in
+    let rec rounds k acc =
+      let live = Llmsim.Chat.live_faults chat in
+      let acc =
+        Llmsim.Chat.draft chat
+        :: String.concat "," (List.map Llmsim.Fault.to_string live)
+        :: acc
+      in
+      if k = 20 || live = [] then List.rev acc
+      else
+        let f = List.nth live (k mod List.length live) in
+        Llmsim.Chat.respond chat
+          (if k mod 2 = 0 then Llmsim.Chat.auto_prompt f else Llmsim.Chat.human_prompt f);
+        rounds (k + 1) acc
+    in
+    rounds 0 []
+  in
+  let table2 =
+    run ~force_faults:(Cosynth.Driver.table2_faults ~cisco_text) ~suppress_random:true 7
+  in
+  golden_digest (List.concat (table2 :: List.map run [ 1; 2; 3; 4; 5; 6; 7; 8 ]))
+
+let golden_border_junos_pin = "e25aef704fb38e25fa515a9e34bdc43c"
+
+let test_golden_border_junos () =
+  check Alcotest.string "border-router Junos drafts" golden_border_junos_pin
+    (golden_border_junos ())
+
 (* The modularizer's whole plan (prompts, oracle configs and specs) at
    three star sizes, as the MD5 of its unshared marshalled bytes: a change
    to how [Modularizer.plan] builds its output must leave it structurally
@@ -676,6 +716,7 @@ let () =
           golden_settings
         @ [
             Alcotest.test_case "hub drafts at 60 routers" `Quick test_golden_hub60;
+            Alcotest.test_case "border-router Junos drafts" `Quick test_golden_border_junos;
             Alcotest.test_case "modularizer plans at 7/30/60 routers" `Quick
               test_golden_plans;
           ] );
