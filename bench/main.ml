@@ -1635,6 +1635,28 @@ let perf_tests () =
       incr calls;
       String.concat "" [ before; Printf.sprintf " set metric %d\n" !calls; after ]
   in
+  (* The border router's Junos drafts through one warm cache, as its
+     translation chat prints them: seed 1's initial faults plus one more
+     that changes on every call, cycling through the opportunities. *)
+  let draft_border_junos =
+    let cache = Llmsim.Fault.create_cache Llmsim.Fault.Junos_cfg in
+    let live =
+      Llmsim.Chat.live_faults
+        (Llmsim.Chat.start ~seed:1 ~regression_rate:0.2 Llmsim.Fault.Junos_cfg
+           ~correct:correct_junos)
+    in
+    let extra =
+      Array.of_list
+        (List.filter
+           (fun f -> not (List.mem f live))
+           (Llmsim.Fault.opportunities Llmsim.Fault.Junos_cfg correct_junos))
+    in
+    let calls = ref 0 in
+    fun () ->
+      incr calls;
+      Llmsim.Fault.render ~cache Llmsim.Fault.Junos_cfg correct_junos
+        (live @ [ extra.(!calls mod Array.length extra) ])
+  in
   let our_networks = Option.get (Config_ir.find_prefix_list border_ir "our-networks") in
   let private_ips = Option.get (Config_ir.find_prefix_list border_ir "private-ips") in
   let space_a = Symbolic.Guard.compile_prefix_list our_networks in
@@ -1664,6 +1686,10 @@ let perf_tests () =
       (Staged.stage (fun () -> ignore (Cisco.Printer.print hub60)));
     Test.make ~name:"llmsim/draft-hub60"
       (Staged.stage (fun () -> ignore (Llmsim.Chat.draft chat60)));
+    Test.make ~name:"junos/print-border"
+      (Staged.stage (fun () -> ignore (Juniper.Printer.print correct_junos)));
+    Test.make ~name:"llmsim/draft-border-junos"
+      (Staged.stage (fun () -> ignore (draft_border_junos ())));
     Test.make ~name:"junos/parse"
       (Staged.stage (fun () -> ignore (Juniper.Parser.parse junos_text)));
     Test.make ~name:"junos/translate+print"
@@ -1786,9 +1812,19 @@ let table_f1 () =
     | Some n -> n
     | None -> if smoke then 30 else 40
   in
+  let junos_printed = ref 0 in
   List.iter
     (fun dialect ->
       let r = Fuzz.Props.run dialect ~seeds ~mutations in
+      (* A mutant whose parse crashed never reaches the print. *)
+      if dialect = Fuzz.Corpus.Junos then
+        junos_printed :=
+          r.Fuzz.Props.inputs
+          - List.length
+              (List.filter
+                 (fun (e : Fuzz.Props.escape) ->
+                   e.Fuzz.Props.violation.Fuzz.Props.property = "total-parse")
+                 r.Fuzz.Props.escapes);
       Printf.printf "  %s: %d mutated input(s), %d escape(s)\n"
         (Fuzz.Corpus.dialect_name dialect)
         r.Fuzz.Props.inputs
@@ -1798,10 +1834,14 @@ let table_f1 () =
         r.Fuzz.Props.escapes)
     [ Fuzz.Corpus.Cisco; Fuzz.Corpus.Junos ];
   (* Every Cisco block the mutants left in the parser's table must still
-     parse to its cached value. *)
+     parse to its cached value. Every Junos mutant that parsed was printed
+     through a cache, cold and warm, and compared with an uncached print
+     (property junos-cached-print). *)
   (match Cisco.Parser.audit_cache () with
   | Ok n -> Printf.printf "  Cisco block table: %d cached block(s) equal a fresh parse\n" n
   | Error line -> violations := ("Cisco block table: stale entry for " ^ line) :: !violations);
+  Printf.printf "  Junos printer cache: %d mutant IR(s) printed cold and warm against an uncached print\n"
+    !junos_printed;
   (* 3b. Structured-text targets: the topology verifier on mutated JSON
      dictionaries and the policy parser + semantic check on mutated policy
      fragments, both under the weighted (coverage-guided) schedule. *)

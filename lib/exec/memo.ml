@@ -1,8 +1,9 @@
 (* Drafts are bounded in practice (a handful of live faults over one oracle
    config), but a long sweep over many topologies could still accumulate;
-   the shared table caps itself rather than grow without bound. *)
+   the shared table caps itself rather than grow without bound. It caps the
+   bytes of its draft texts as well as their number (see memo.mli). *)
 module Table =
-  Netcore.Memo_table.Make
+  Netcore.Memo_table.Make_weighted
     (struct
       type t = Batfish.Parse_check.dialect * string
 
@@ -13,6 +14,8 @@ module Table =
       type t = Policy.Config_ir.t * Netcore.Diag.t list
 
       let max_entries = 16_384
+      let max_weight = 32 * 1024 * 1024
+      let weight (_, text) = String.length text
     end)
 
 type stats = Netcore.Memo_table.stats = {

@@ -7,7 +7,10 @@
     be memoized on [(dialect, text)]. The cache is shared across domains
     and guarded by a mutex; parse work happens outside the lock (a
     concurrent duplicate parse is harmless — both compute the same
-    value). It is one instance of {!Netcore.Memo_table.Make}. *)
+    value). It is one instance of {!Netcore.Memo_table.Make_weighted},
+    bounded both by entries (16,384) and by the bytes of its draft texts
+    (32 MB): a 60-router hub draft is ~200 KB and keeps its IR alive beside
+    it, so the entry bound alone let a long run hold gigabytes. *)
 
 val check :
   Batfish.Parse_check.dialect ->
@@ -32,8 +35,10 @@ type stats = Netcore.Memo_table.stats = {
   misses : int;
   entries : int;
   evictions : int;
-      (** Entries dropped by the bounded cap (see {!Netcore.Memo_table}):
-          the oldest eighth goes when the table is full. *)
+      (** Entries dropped by the bounded caps (see {!Netcore.Memo_table}):
+          the oldest eighth goes when the table is full by entries, and the
+          oldest entries until an eighth of the byte cap is free when it is
+          full by bytes. *)
 }
 
 val stats : unit -> stats

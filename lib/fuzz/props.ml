@@ -32,7 +32,7 @@ let parse_fn = function
 
 let print_fn = function
   | Corpus.Cisco -> fun ir -> Cisco.Printer.print ir
-  | Corpus.Junos -> Juniper.Printer.print
+  | Corpus.Junos -> fun ir -> Juniper.Printer.print ir
 
 let guard ~label ~input f =
   Resilience.Guard.run ~label
@@ -63,9 +63,23 @@ let check dialect s =
   | Error c -> crash "total-parse" c
   | Ok (ir, diags) ->
       (* The block-incremental Cisco parse must equal the line loop over
-         the whole text. *)
+         the whole text, and a Junos print through a cache, cold and then
+         warm, must equal the print without one. *)
       (match dialect with
-      | Corpus.Junos -> ()
+      | Corpus.Junos -> (
+          match
+            guard ~label:(dname ^ "-cached-print") ~input:s (fun () ->
+                let cache = Juniper.Printer.create_cache () in
+                let cold = Juniper.Printer.print ~cache ir in
+                let warm = Juniper.Printer.print ~cache ir in
+                (Juniper.Printer.print ir, cold, warm))
+          with
+          | Error c -> crash "total-print" c
+          | Ok (plain, cold, warm) ->
+              if cold <> plain || warm <> plain then
+                fail "junos-cached-print" (dname ^ "-print") "Cache_mismatch"
+                  (if cold <> plain then "cold cached print differs from the uncached print"
+                   else "warm cached print differs from the uncached print"))
       | Corpus.Cisco -> (
           match
             guard ~label:(dname ^ "-parse-whole") ~input:s (fun () -> Cisco.Parser.parse_whole s)

@@ -5,7 +5,7 @@
 type violation = {
   property : string;
       (** Which property broke: ["total-parse"], ["block-parse"],
-          ["total-print"], ["print-reparse"], ["print-fixpoint"],
+          ["junos-cached-print"], ["total-print"], ["print-reparse"], ["print-fixpoint"],
           ["total-differ"], ["total-bgp-sim"], ["total-ospf-sim"], or
           ["canary"]. *)
   stage : string;  (** The Guard label of the crashing stage. *)
@@ -27,7 +27,9 @@ val escape_to_string : escape -> string
 
 val check : Corpus.dialect -> string -> violation list
 (** Run every property on one input: guarded parse; for Cisco, the
-    block-incremental parse equal to {!Cisco.Parser.parse_whole}; guarded
+    block-incremental parse equal to {!Cisco.Parser.parse_whole}; for
+    Junos, the IR printed through a fresh {!Juniper.Printer.cache}, cold
+    and then warm, equal to its print without one; guarded
     print → reparse → reprint with the printed forms compared (the
     parse∘print fixpoint, checked only when the first parse is clean);
     guarded differ against the stock reference in both directions; guarded

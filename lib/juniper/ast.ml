@@ -148,7 +148,7 @@ let children n = Option.value ~default:[] n.children
 
 let needs_quotes w = String.contains w ' '
 
-let render nodes =
+let render ?(indent = 0) nodes =
   let buf = Buffer.create 1024 in
   let rec go indent nodes =
     List.iter
@@ -167,5 +167,5 @@ let render nodes =
             Buffer.add_string buf "}\n")
       nodes
   in
-  go 0 nodes;
+  go indent nodes;
   Buffer.contents buf

@@ -23,5 +23,6 @@ val find_all : string -> node list -> node list
 val children : node -> node list
 (** Empty list for leaves. *)
 
-val render : node list -> string
-(** Pretty-print a tree back to Junos syntax (4-space indent). *)
+val render : ?indent:int -> node list -> string
+(** Pretty-print a tree back to Junos syntax (4-space indent), its top
+    level [indent] spaces in (default 0). *)

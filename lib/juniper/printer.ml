@@ -58,18 +58,11 @@ let community_def_name comms =
 (* Policy statements                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type defs = {
-  mutable communities : (string * Community.t list) list;
-  mutable warnings : string list;
-}
-
-let register_community defs name members =
-  if not (List.mem_assoc name defs.communities) then
-    defs.communities <- defs.communities @ [ (name, members) ]
-
-let from_lines (c : Config_ir.t) defs = function
+(* A statement reads its route map and the lists it references, and names
+   the community definitions its terms cite by calling [register]. *)
+let from_lines ~prefix_lists ~community_lists register = function
   | Route_map.Match_prefix_list n -> (
-      match Config_ir.find_prefix_list c n with
+      match List.find_opt (fun (l : Prefix_list.t) -> l.name = n) prefix_lists with
       | Some l when is_exact_permit_list l -> [ leaf [ "prefix-list"; n ] ]
       | Some l ->
           List.map
@@ -78,11 +71,11 @@ let from_lines (c : Config_ir.t) defs = function
             (route_filters_of_prefix_list l)
       | None -> [ leaf [ "prefix-list"; n ] ])
   | Route_map.Match_community_list n -> (
-      match Config_ir.find_community_list c n with
+      match List.find_opt (fun (l : Community_list.t) -> l.name = n) community_lists with
       | Some l -> (
           match l.Community_list.entries with
           | [ e ] when e.Community_list.action = Action.Permit ->
-              register_community defs n e.Community_list.communities;
+              register n e.Community_list.communities;
               [ leaf [ "community"; n ] ]
           | entries ->
               (* OR across entries: one named community per entry, all cited
@@ -91,7 +84,7 @@ let from_lines (c : Config_ir.t) defs = function
                 List.mapi
                   (fun i (e : Community_list.entry) ->
                     let name = Printf.sprintf "%s-%d" n (i + 1) in
-                    register_community defs name e.Community_list.communities;
+                    register name e.Community_list.communities;
                     name)
                   entries
               in
@@ -103,13 +96,13 @@ let from_lines (c : Config_ir.t) defs = function
   | Route_map.Match_med m -> [ leaf [ "metric"; string_of_int m ] ]
   | Route_map.Match_tag t -> [ leaf [ "tag"; string_of_int t ] ]
 
-let then_lines defs (e : Route_map.entry) =
+let then_lines register (e : Route_map.entry) =
   let set_line = function
     | Route_map.Set_med m -> [ leaf [ "metric"; string_of_int m ] ]
     | Route_map.Set_local_pref p -> [ leaf [ "local-preference"; string_of_int p ] ]
     | Route_map.Set_community { communities; additive } ->
         let name = community_def_name communities in
-        register_community defs name communities;
+        register name communities;
         [ leaf [ "community"; (if additive then "add" else "set"); name ] ]
     | Route_map.Set_community_delete n -> [ leaf [ "community"; "delete"; n ] ]
     | Route_map.Set_next_hop a -> [ leaf [ "next-hop"; Ipv4.to_string a ] ]
@@ -119,23 +112,28 @@ let then_lines defs (e : Route_map.entry) =
   List.concat_map set_line e.sets
   @ [ leaf [ (match e.action with Action.Permit -> "accept" | Action.Deny -> "reject") ] ]
 
-let term_of_entry (c : Config_ir.t) defs (e : Route_map.entry) =
-  let froms = List.concat_map (from_lines c defs) e.matches in
-  let body =
-    (if froms = [] then [] else [ block [ "from" ] froms ])
-    @ [ block [ "then" ] (then_lines defs e) ]
+(* The statement's node and the community definitions it registers, in
+   registration order (a name may repeat). *)
+let policy_statement ~prefix_lists ~community_lists (m : Route_map.t) =
+  let registered = ref [] in
+  let register name members = registered := (name, members) :: !registered in
+  let term (e : Route_map.entry) =
+    let froms = List.concat_map (from_lines ~prefix_lists ~community_lists register) e.matches in
+    let body =
+      (if froms = [] then [] else [ block [ "from" ] froms ])
+      @ [ block [ "then" ] (then_lines register e) ]
+    in
+    block [ "term"; Printf.sprintf "t%d" e.seq ] body
   in
-  block [ "term"; Printf.sprintf "t%d" e.seq ] body
-
-let policy_statement c defs (m : Route_map.t) =
-  block [ "policy-statement"; m.name ] (List.map (term_of_entry c defs) m.entries)
+  let node = block [ "policy-statement"; m.name ] (List.map term m.entries) in
+  (node, List.rev !registered)
 
 (* ------------------------------------------------------------------ *)
 (* Top-level sections                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let firewall_section (c : Config_ir.t) =
-  if c.Config_ir.acls = [] then []
+let firewall_section acls =
+  if acls = [] then []
   else
     let term (e : Acl.entry) =
       let froms =
@@ -164,9 +162,9 @@ let firewall_section (c : Config_ir.t) =
     let filter (a : Acl.t) =
       block [ "filter"; a.Acl.name ] (List.map term a.Acl.entries)
     in
-    [ block [ "firewall" ] [ block [ "family"; "inet" ] (List.map filter c.Config_ir.acls) ] ]
+    [ block [ "firewall" ] [ block [ "family"; "inet" ] (List.map filter acls) ] ]
 
-let interfaces_section (c : Config_ir.t) =
+let interfaces_section (interfaces : Config_ir.interface list) =
   let iface_node (i : Config_ir.interface) =
     let phys = Iface.junos_name i.iface in
     let phys =
@@ -199,11 +197,11 @@ let interfaces_section (c : Config_ir.t) =
     in
     block [ phys ] body
   in
-  if c.interfaces = [] then [] else [ block [ "interfaces" ] (List.map iface_node c.interfaces) ]
+  if interfaces = [] then [] else [ block [ "interfaces" ] (List.map iface_node interfaces) ]
 
-let routing_options_section (c : Config_ir.t) =
+let routing_options_section statics (bgp : Config_ir.bgp option) =
   let statics =
-    if c.statics = [] then []
+    if statics = [] then []
     else
       [
         block [ "static" ]
@@ -212,13 +210,13 @@ let routing_options_section (c : Config_ir.t) =
                block
                  [ "route"; Prefix.to_string r.Config_ir.destination ]
                  [ leaf [ "next-hop"; Ipv4.to_string r.Config_ir.next_hop ] ])
-             c.statics);
+             statics);
       ]
   in
   let body =
     statics
     @
-    (match c.bgp with
+    (match bgp with
     | Some b ->
         (match b.router_id with
         | Some r -> [ leaf [ "router-id"; Ipv4.to_string r ] ]
@@ -235,8 +233,8 @@ let routing_options_section (c : Config_ir.t) =
   in
   if body = [] then [] else [ block [ "routing-options" ] body ]
 
-let bgp_section (c : Config_ir.t) =
-  match c.bgp with
+let bgp_section (bgp : Config_ir.bgp option) =
+  match bgp with
   | None -> []
   | Some b ->
       let group (n : Config_ir.neighbor) =
@@ -268,8 +266,8 @@ let bgp_section (c : Config_ir.t) =
       in
       [ block [ "bgp" ] (List.map group b.neighbors) ]
 
-let ospf_section (c : Config_ir.t) =
-  match c.ospf with
+let ospf_section (ospf : Config_ir.ospf option) =
+  match ospf with
   | None -> []
   | Some o ->
       let areas =
@@ -293,7 +291,10 @@ let ospf_section (c : Config_ir.t) =
       in
       if areas = [] then [] else [ block [ "ospf" ] (List.map area_node areas) ]
 
-let policy_options_section (c : Config_ir.t) defs =
+(* The definitions a statement cites come before the statements: the
+   exact-permit prefix lists, the registered communities, the AS-path
+   lists. *)
+let definitions prefix_lists communities as_path_lists =
   let prefix_lists =
     List.filter_map
       (fun (l : Prefix_list.t) ->
@@ -305,16 +306,15 @@ let policy_options_section (c : Config_ir.t) defs =
                     leaf [ Prefix.to_string (Prefix_range.base e.range) ])
                   l.entries))
         else None)
-      c.prefix_lists
+      prefix_lists
   in
-  let statements = List.map (policy_statement c defs) c.route_maps in
   let communities =
     List.map
       (fun (name, members) ->
         leaf
           (("community" :: name :: "members"
            :: List.map Community.to_string members)))
-      defs.communities
+      communities
   in
   let as_paths =
     List.concat_map
@@ -324,35 +324,117 @@ let policy_options_section (c : Config_ir.t) defs =
         with
         | Some e -> [ leaf [ "as-path"; l.name; e.regex ] ]
         | None -> [])
-      c.as_path_lists
+      as_path_lists
   in
-  (* Definitions precede the statements that use them. *)
-  let body = prefix_lists @ communities @ as_paths @ statements in
-  if body = [] then [] else [ block [ "policy-options" ] body ]
+  prefix_lists @ communities @ as_paths
 
-let print (c : Config_ir.t) =
-  let defs = { communities = []; warnings = [] } in
-  (* Pre-register named community lists referenced in delete actions. *)
-  List.iter
+(* ------------------------------------------------------------------ *)
+(* Sections and the cache                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A config is printed as these sections, each carrying exactly the IR it
+   is printed from, so equal sections print equal text. The six top-level
+   sections print at the left margin; a statement and the definitions print
+   inside [policy-options], one level in. A statement carries its route map
+   and the prefix and community lists it references; the definitions carry
+   the communities the statements registered. *)
+type section =
+  | System of string
+  | Interfaces of Config_ir.interface list
+  | Routing_options of Config_ir.static_route list * Config_ir.bgp option
+  | Firewall of Acl.t list
+  | Protocols of Config_ir.bgp option * Config_ir.ospf option
+  | Statement of Route_map.t * Prefix_list.t list * Community_list.t list
+  | Definitions of
+      Prefix_list.t list * (string * Community.t list) list * As_path_list.t list
+
+(* The section's text, and for a statement the community definitions it
+   registers. *)
+let print_section = function
+  | System hostname -> (Ast.render [ block [ "system" ] [ leaf [ "host-name"; hostname ] ] ], [])
+  | Interfaces interfaces -> (Ast.render (interfaces_section interfaces), [])
+  | Routing_options (statics, bgp) -> (Ast.render (routing_options_section statics bgp), [])
+  | Firewall acls -> (Ast.render (firewall_section acls), [])
+  | Protocols (bgp, ospf) ->
+      let body = bgp_section bgp @ ospf_section ospf in
+      (Ast.render (if body = [] then [] else [ block [ "protocols" ] body ]), [])
+  | Statement (m, prefix_lists, community_lists) ->
+      let node, registered = policy_statement ~prefix_lists ~community_lists m in
+      (Ast.render ~indent:4 [ node ], registered)
+  | Definitions (prefix_lists, communities, as_path_lists) ->
+      (Ast.render ~indent:4 (definitions prefix_lists communities as_path_lists), [])
+
+(* Keys are whole sections, as in [Cisco.Printer]: the table's structural
+   comparison settles what [Hashtbl.hash] leaves apart, and stops at once on
+   the IR values a redraft shares with earlier drafts. *)
+type cache = (section, string * (string * Community.t list) list) Hashtbl.t
+
+let create_cache () : cache = Hashtbl.create 64
+
+(* The lists a statement reads: the first of each name it references, as
+   [Config_ir.find_*] would return. *)
+let statement (c : Config_ir.t) (m : Route_map.t) =
+  let refs = Route_map.list_references m in
+  let found kind find =
+    List.filter_map (fun (k, n) -> if k = kind then find c n else None) refs
+  in
+  Statement
+    ( m,
+      found `Prefix_list Config_ir.find_prefix_list,
+      found `Community_list Config_ir.find_community_list )
+
+(* Named community lists cited in delete actions are defined before any
+   community a statement registers. *)
+let delete_lists (c : Config_ir.t) =
+  List.concat_map
     (fun (m : Route_map.t) ->
-      List.iter
+      List.concat_map
         (fun (e : Route_map.entry) ->
-          List.iter
+          List.filter_map
             (function
               | Route_map.Set_community_delete n -> (
                   match Config_ir.find_community_list c n with
                   | Some { Community_list.entries = { Community_list.communities; _ } :: _; _ } ->
-                      register_community defs n communities
-                  | _ -> ())
-              | _ -> ())
+                      Some (n, communities)
+                  | _ -> None)
+              | _ -> None)
             e.Route_map.sets)
         m.Route_map.entries)
-    c.route_maps;
-  let system = [ block [ "system" ] [ leaf [ "host-name"; c.hostname ] ] ] in
-  let policy = policy_options_section c defs in
-  let protocols =
-    let body = bgp_section c @ ospf_section c in
-    if body = [] then [] else [ block [ "protocols" ] body ]
+    c.route_maps
+
+(* Each name once, with the members of its first registration. *)
+let first_registrations defs =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun (name, _) ->
+      (not (Hashtbl.mem seen name))
+      &&
+      (Hashtbl.add seen name ();
+       true))
+    defs
+
+let print ?cache (c : Config_ir.t) =
+  let text section =
+    match cache with
+    | None -> print_section section
+    | Some tbl -> (
+        match Hashtbl.find_opt tbl section with
+        | Some printed -> printed
+        | None ->
+            let printed = print_section section in
+            Hashtbl.add tbl section printed;
+            printed)
+  in
+  let statements = List.map (fun m -> text (statement c m)) c.route_maps in
+  let communities =
+    first_registrations (delete_lists c @ List.concat_map snd statements)
+  in
+  let definitions, _ =
+    text (Definitions (c.prefix_lists, communities, c.as_path_lists))
+  in
+  let policy =
+    if definitions = "" && statements = [] then []
+    else ("policy-options {\n" :: definitions :: List.map fst statements) @ [ "}\n" ]
   in
   let dropped =
     match c.bgp with
@@ -361,7 +443,15 @@ let print (c : Config_ir.t) =
          into export policies with Translate.of_cisco_ir\n"
     | _ -> ""
   in
-  dropped
-  ^ Ast.render
-      (system @ interfaces_section c @ routing_options_section c @ firewall_section c
-      @ protocols @ policy)
+  String.concat ""
+    (dropped
+    :: List.map
+         (fun s -> fst (text s))
+         [
+           System c.hostname;
+           Interfaces c.interfaces;
+           Routing_options (c.statics, c.bgp);
+           Firewall c.acls;
+           Protocols (c.bgp, c.ospf);
+         ]
+    @ policy)

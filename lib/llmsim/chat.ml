@@ -15,7 +15,7 @@ type t = {
   reintroduction_rate : float;
   class_filter : Error_class.t -> bool;
   quality : float;
-  printed : Cisco.Printer.cache;
+  printed : Fault.cache;
 }
 
 let suppressed iips (cls : Error_class.t) =
@@ -48,7 +48,7 @@ let start ?(seed = 42) ?(iips = []) ?(regression_rate = 0.12)
       reintroduction_rate = reintroduction_rate *. (1.0 -. quality);
       class_filter;
       quality;
-      printed = Cisco.Printer.create_cache ();
+      printed = Fault.create_cache dialect_;
     }
   in
   let sampled =

@@ -46,8 +46,9 @@ val start :
 
 val draft : t -> string
 (** Current rendering of the draft configuration. Each chat keeps its own
-    cache of printed Cisco blocks ({!Fault.render}), so a redraft prints
-    only the blocks its live faults changed since the chat last saw them.
+    printer cache for its dialect ({!Fault.render}): Cisco blocks or Junos
+    sections. A redraft prints only the blocks or sections its live faults
+    changed since the chat last saw them.
     Neither the cache nor the rest of a chat is synchronised: use a chat
     from one domain at a time. *)
 

@@ -604,96 +604,128 @@ let contains ~sub s =
   let rec go i = i + String.length sub <= String.length s && (matches_at s i sub 0 || go (i + 1)) in
   go 0
 
-(* The first index in [pos, stop) at which [sub] occurs in [s], or -1. A
-   Boyer-Moore-Horspool search: after a mismatch the window moves past the
-   last occurrence in [sub] of its last character, which on a config text is
-   most of [sub]'s length at a time. *)
-let find ~sub s pos stop =
+(* [searcher sub s pos stop] is the first index in [pos, stop) at which
+   [sub] occurs in [s], or -1. A Boyer-Moore-Horspool search: after a
+   mismatch the window moves past the last occurrence in [sub] of its last
+   character, which on a config text is most of [sub]'s length at a time.
+   The shift table is built once per [searcher sub], not once per search. *)
+let searcher sub =
   let m = String.length sub in
   let shift = Array.make 256 (max m 1) in
   for j = 0 to m - 2 do
     shift.(Char.code sub.[j]) <- m - 1 - j
   done;
-  let rec go i =
-    if i + m > stop then -1
-    else if matches_at s i sub 0 then i
-    else go (i + shift.(Char.code s.[i + m - 1]))
-  in
-  go pos
+  fun s pos stop ->
+    let rec go i =
+      if i + m > stop then -1
+      else if matches_at s i sub 0 then i
+      else go (i + shift.(Char.code s.[i + m - 1]))
+    in
+    go pos
 
 let lines s = String.split_on_char '\n' s
 let unlines l = String.concat "\n" l
 
-let apply_missing_local_as text =
-  unlines
-    (List.filter
-       (fun l -> not (contains ~sub:"autonomous-system" l || contains ~sub:"local-as" l))
-       (lines text))
+(* The lines of [text] (split at '\n') with each line that holds the match
+   [next pos] finds at or after [pos] kept, dropped or replaced as [edit]
+   says, joined again by '\n': what [List.filter_map] over the split lines
+   gives, from one scan and one copy. [edit] sees the line as [text]'s
+   range [start, stop), in text order. *)
+let edit_lines text ~next ~edit =
+  let n = String.length text in
+  let buf = Buffer.create (n + 64) in
+  let joined = ref false in
+  let add s a b =
+    if !joined then Buffer.add_char buf '\n';
+    Buffer.add_substring buf s a (b - a);
+    joined := true
+  in
+  (* [pos] starts a line, or is [n + 1] once the last line is done. *)
+  let rec go pos =
+    let i = if pos > n then -1 else next pos in
+    if i < 0 then (if pos <= n then add text pos n)
+    else begin
+      let start = match String.rindex_from text i '\n' with j -> j + 1 | exception Not_found -> 0 in
+      let stop = match String.index_from text i '\n' with j -> j | exception Not_found -> n in
+      (* The untouched lines before this one. *)
+      if start > pos then add text pos (start - 1);
+      (match edit start stop with
+      | `Keep -> add text start stop
+      | `Drop -> ()
+      | `Replace line -> add line 0 (String.length line));
+      go (stop + 1)
+    end
+  in
+  go 0;
+  Buffer.contents buf
 
+let apply_missing_local_as text =
+  let n = String.length text in
+  (* Each needle's next match at or after [pos], searched again only once
+     [pos] has passed the last one found: one scan of the text per needle. *)
+  let next_of sub =
+    let find = searcher sub and last = ref (-2) in
+    fun pos ->
+      if !last = -1 || !last >= pos then !last
+      else begin
+        last := find text pos n;
+        !last
+      end
+  in
+  let next_asn = next_of "autonomous-system" and next_local_as = next_of "local-as" in
+  let next pos =
+    let a = next_asn pos and b = next_local_as pos in
+    if a < 0 then b else if b < 0 then a else min a b
+  in
+  edit_lines text ~next ~edit:(fun _ _ -> `Drop)
+
+(* The first line citing the list's first prefix as a route filter becomes
+   a reference to the list, the others go, and an invalid definition of the
+   list is appended. *)
 let apply_bad_prefix_list (correct : Config_ir.t) list_name text =
   match Config_ir.find_prefix_list correct list_name with
   | None | Some { Prefix_list.entries = []; _ } -> text
   | Some { Prefix_list.entries = e :: _; _ } ->
       let base = Prefix_range.base e.Prefix_list.range in
       let base_str = Prefix.to_string base in
-      let marker = "route-filter " ^ base_str in
+      let find_marker = searcher ("route-filter " ^ base_str) in
       let replaced = ref false in
-      let keep l =
-        if contains ~sub:marker l then
-          if !replaced then None
-          else begin
-            replaced := true;
-            (* Preserve indentation. *)
-            let indent =
-              let rec count i = if i < String.length l && l.[i] = ' ' then count (i + 1) else i in
-              String.make (count 0) ' '
-            in
-            Some (indent ^ "prefix-list " ^ list_name ^ ";")
-          end
-        else Some l
+      let edit start _ =
+        if !replaced then `Drop
+        else begin
+          replaced := true;
+          (* Preserve indentation. *)
+          let rec count i = if text.[i] = ' ' then count (i + 1) else i in
+          `Replace (String.make (count start - start) ' ' ^ "prefix-list " ^ list_name ^ ";")
+        end
       in
-      let body = List.filter_map keep (lines text) in
+      let body = edit_lines text ~next:(fun pos -> find_marker text pos (String.length text)) ~edit in
       let invalid_def =
         Printf.sprintf "policy-options {\n    prefix-list %s {\n        %s-32;\n    }\n}\n"
           list_name base_str
       in
-      unlines body ^ invalid_def
+      body ^ invalid_def
 
 let apply_cli_keywords text =
   "configure terminal\n" ^ text ^ "end\nwrite memory\n"
 
 (* Move the export attachment of [addr] out of the [router bgp] block: every
    line holding it is dropped and the first one is appended, unindented, at
-   the end. One scan finds the lines and one copy writes the result, which
-   is what splitting into lines, filtering and re-joining would give. *)
+   the end. *)
 let apply_neighbor_outside_bgp addr text =
-  let needle = "neighbor " ^ Ipv4.to_string addr ^ " route-map" in
   let n = String.length text in
-  let rec scan from acc =
-    let i = find ~sub:needle text from n in
-    if i < 0 then List.rev acc
-    else
-      let pos = match String.rindex_from text i '\n' with j -> j + 1 | exception Not_found -> 0 in
-      let stop = match String.index_from text i '\n' with j -> j | exception Not_found -> n in
-      scan (stop + 1) (if find ~sub:" out" text pos stop >= 0 then (pos, stop) :: acc else acc)
+  let find_needle = searcher ("neighbor " ^ Ipv4.to_string addr ^ " route-map")
+  and find_out = searcher " out" in
+  let moved = ref None in
+  let edit start stop =
+    if find_out text start stop < 0 then `Keep
+    else begin
+      if !moved = None then moved := Some (String.trim (String.sub text start (stop - start)));
+      `Drop
+    end
   in
-  match scan 0 [] with
-  | [] -> text
-  | (first, first_stop) :: _ as moved ->
-      let buf = Buffer.create (n + 1) in
-      let joined = ref false in
-      (* The lines in [a, b), joined to the previous run by a newline. *)
-      let keep a b =
-        if a <= b then begin
-          if !joined then Buffer.add_char buf '\n';
-          Buffer.add_substring buf text a (b - a);
-          joined := true
-        end
-      in
-      keep (List.fold_left (fun a (pos, stop) -> keep a (pos - 1); stop + 1) 0 moved) n;
-      Buffer.add_string buf (String.trim (String.sub text first (first_stop - first)));
-      Buffer.add_char buf '\n';
-      Buffer.contents buf
+  let rest = edit_lines text ~next:(fun pos -> find_needle text pos n) ~edit in
+  match !moved with None -> text | Some line -> rest ^ line ^ "\n"
 
 let apply_match_community_literal (correct : Config_ir.t) map_name seq text =
   (* Find the stanza header, then the first community match inside it, and
@@ -746,12 +778,20 @@ let is_text_fault (fault : t) =
       true
   | _ -> false
 
+type cache = Cisco_cache of Cisco.Printer.cache | Junos_cache of Juniper.Printer.cache
+
+let create_cache = function
+  | Cisco_cfg -> Cisco_cache (Cisco.Printer.create_cache ())
+  | Junos_cfg -> Junos_cache (Juniper.Printer.create_cache ())
+
 let render ?cache dialect (correct : Config_ir.t) faults =
   let ir_faults, text_faults = List.partition (fun f -> not (is_text_fault f)) faults in
   let ir = List.fold_left apply_ir correct ir_faults in
   let text =
-    match dialect with
-    | Cisco_cfg -> Cisco.Printer.print ?cache ir
-    | Junos_cfg -> Juniper.Printer.print ir
+    match (dialect, cache) with
+    | Cisco_cfg, Some (Cisco_cache cache) -> Cisco.Printer.print ~cache ir
+    | Cisco_cfg, _ -> Cisco.Printer.print ir
+    | Junos_cfg, Some (Junos_cache cache) -> Juniper.Printer.print ~cache ir
+    | Junos_cfg, _ -> Juniper.Printer.print ir
   in
   List.fold_left (apply_text correct) text text_faults

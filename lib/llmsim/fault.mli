@@ -29,14 +29,20 @@ val opportunities : dialect -> Config_ir.t -> t list
     neighbor, one [Redistribution_unscoped] when export policies carry
     source-protocol scoping. *)
 
-val render : ?cache:Cisco.Printer.cache -> dialect -> Config_ir.t -> t list -> string
+type cache
+(** A printer cache for one dialect: {!Cisco.Printer.cache} or
+    {!Juniper.Printer.cache}. *)
+
+val create_cache : dialect -> cache
+
+val render : ?cache:cache -> dialect -> Config_ir.t -> t list -> string
 (** Apply every fault to the correct IR, print in the dialect, then apply
     the text-level manglings (CLI keywords, misplaced neighbor lines, the
     /24-32 shorthand, dropped local-as lines). Unknown targets are ignored
     (rendering is total).
 
-    A Cisco draft is printed through [cache] when one is given, so a block
-    the faults leave unchanged is printed once per cache rather than once
-    per draft; the text is the same either way. Junos drafts ignore it.
-    {!Chat} passes its own cache: one per conversation, used by one domain
-    at a time. *)
+    A draft is printed through [cache] when one of its dialect is given, so
+    a Cisco block or a Junos section the faults leave unchanged is printed
+    once per cache rather than once per draft; the text is the same either
+    way, and a cache of the other dialect is not used. {!Chat} passes its
+    own cache: one per conversation, used by one domain at a time. *)

@@ -21,12 +21,14 @@ module type S = sig
   val scope_stats : scope -> stats
 end
 
-module Make
+module Make_weighted
     (K : Hashtbl.HashedType)
     (V : sig
       type t
 
       val max_entries : int
+      val max_weight : int
+      val weight : K.t -> int
     end) =
 struct
   module H = Hashtbl.Make (K)
@@ -46,17 +48,32 @@ struct
   let misses = ref 0
   let evictions = ref 0
 
-  (* Drop the oldest eighth of the table. Batch size >= 1 so the insert
-     that triggered it always fits. Caller holds [lock]. *)
-  let evict_batch () =
-    let batch = max 1 (V.max_entries / 8) in
-    for _ = 1 to batch do
-      match Queue.take_opt order with
-      | None -> ()
-      | Some k ->
-          H.remove table k;
-          incr evictions
-    done
+  (* The summed weight of the live keys. *)
+  let weight = ref 0
+
+  let evict_oldest () =
+    match Queue.take_opt order with
+    | None -> false
+    | Some k ->
+        H.remove table k;
+        weight := !weight - V.weight k;
+        incr evictions;
+        true
+
+  (* Make room for a key of weight [w]. A table full by count drops its
+     oldest eighth of entries; a table full by weight drops its oldest
+     entries until an eighth of the weight cap is free besides [w]. Batch
+     size >= 1 so the insert that triggered it always fits by count. Caller
+     holds [lock]. *)
+  let make_room w =
+    if H.length table >= V.max_entries then
+      for _ = 1 to max 1 (V.max_entries / 8) do
+        ignore (evict_oldest ())
+      done;
+    if !weight + w > V.max_weight then
+      while !weight + w > V.max_weight - (V.max_weight / 8) && evict_oldest () do
+        ()
+      done
 
   let find_or_compute key compute =
     Mutex.lock lock;
@@ -73,9 +90,11 @@ struct
         | Ok v ->
             Mutex.lock lock;
             if not (H.mem table key) then begin
-              if H.length table >= V.max_entries then evict_batch ();
+              let w = V.weight key in
+              make_room w;
               H.add table key v;
-              Queue.push key order
+              Queue.push key order;
+              weight := !weight + w
             end;
             Mutex.unlock lock;
             Ok v)
@@ -103,6 +122,7 @@ struct
     Mutex.lock lock;
     H.reset table;
     Queue.clear order;
+    weight := 0;
     hits := 0;
     misses := 0;
     evictions := 0;
@@ -127,5 +147,20 @@ struct
     let s = stats () in
     { s with hits = s.hits - sc.hits0; misses = s.misses - sc.misses0 }
 end
+
+module Make
+    (K : Hashtbl.HashedType)
+    (V : sig
+      type t
+
+      val max_entries : int
+    end) =
+  Make_weighted (K)
+    (struct
+      include V
+
+      let max_weight = max_int
+      let weight _ = 0
+    end)
 
 let content_hash v = Hashtbl.hash (Marshal.to_string v [ Marshal.No_sharing ])

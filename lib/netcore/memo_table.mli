@@ -67,6 +67,25 @@ module Make
       (** The cap; at least 1. *)
     end) : S with type key = K.t and type value = V.t
 
+module Make_weighted
+    (K : Hashtbl.HashedType)
+    (V : sig
+      type t
+
+      val max_entries : int
+      (** The cap on entries; at least 1. *)
+
+      val max_weight : int
+      (** The cap on the summed weight of the live keys. *)
+
+      val weight : K.t -> int
+      (** A key's weight, at least 0 (for example the bytes of its text). *)
+    end) : S with type key = K.t and type value = V.t
+(** {!Make} with a second bound: when an insert would take the summed key
+    weight past [max_weight], the oldest entries go until an eighth of
+    [max_weight] is free besides the new key. A key heavier than that
+    empties the table and is kept alone. *)
+
 val content_hash : 'a -> int
 (** A hash over the {e whole} structure of a pure data value (no closures,
     no cycles): [Hashtbl.hash] of its unshared marshalled bytes.

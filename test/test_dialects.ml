@@ -699,6 +699,169 @@ let test_junos_unbalanced_braces () =
   let _, diags = Juniper.Parser.parse "system {\n host-name r1;\n" in
   check bool_t "reports something" true (diags <> [])
 
+(* Printing through one cache equals printing without one across IR edits
+   that each change what one section reads: the hostname, the interfaces,
+   the statics, the ACLs, BGP, OSPF, a route map's entries, the members of
+   a set community, a referenced prefix or community list, an AS-path list,
+   and the order of the lists and maps. The edits are printed in turn
+   through the one cache, with the unedited config between them, so a stale
+   section shows as a difference. *)
+let test_junos_cache_edits () =
+  let bases =
+    List.map
+      (fun text -> Juniper.Translate.of_cisco_ir (fst (Cisco.Parser.parse text)))
+      [ Cisco.Samples.border_router; Cisco.Samples.edge_router; Cisco.Samples.minimal ]
+    @ List.map
+        (fun (t : Cosynth.Modularizer.router_task) ->
+          Juniper.Translate.of_cisco_ir t.Cosynth.Modularizer.correct)
+        (Cosynth.Modularizer.plan (Star.make ~routers:4))
+  in
+  let edits (c : Config_ir.t) =
+    let tail = function [] -> [] | _ :: rest -> rest in
+    let maps f = { c with Config_ir.route_maps = List.map f c.Config_ir.route_maps } in
+    let entries f (m : Route_map.t) = Route_map.make m.Route_map.name (f m.Route_map.entries) in
+    let members (e : Route_map.entry) =
+      {
+        e with
+        Route_map.sets =
+          List.map
+            (function
+              | Route_map.Set_community s ->
+                  Route_map.Set_community
+                    { s with communities = Community.of_string_exn "65000:7" :: s.communities }
+              | a -> a)
+            e.Route_map.sets;
+      }
+    in
+    [
+      { c with Config_ir.hostname = c.Config_ir.hostname ^ "-b" };
+      { c with Config_ir.interfaces = List.rev c.Config_ir.interfaces };
+      { c with Config_ir.statics = [] };
+      { c with Config_ir.acls = [] };
+      { c with Config_ir.bgp = None };
+      { c with Config_ir.ospf = None };
+      maps (entries tail);
+      maps (entries (List.map members));
+      maps (entries List.rev);
+      { c with Config_ir.route_maps = List.rev c.Config_ir.route_maps };
+      {
+        c with
+        Config_ir.prefix_lists =
+          List.map
+            (fun (l : Prefix_list.t) -> { l with Prefix_list.entries = tail l.Prefix_list.entries })
+            c.Config_ir.prefix_lists;
+      };
+      {
+        c with
+        Config_ir.prefix_lists =
+          List.map
+            (fun (l : Prefix_list.t) ->
+              {
+                l with
+                Prefix_list.entries =
+                  List.map
+                    (fun (e : Prefix_list.entry) -> { e with Prefix_list.action = Action.Deny })
+                    l.Prefix_list.entries;
+              })
+            c.Config_ir.prefix_lists;
+      };
+      { c with Config_ir.prefix_lists = List.rev c.Config_ir.prefix_lists };
+      {
+        c with
+        Config_ir.community_lists =
+          List.map
+            (fun (l : Community_list.t) ->
+              {
+                l with
+                Community_list.entries =
+                  List.map
+                    (fun (e : Community_list.entry) ->
+                      {
+                        e with
+                        Community_list.communities =
+                          Community.of_string_exn "65000:9" :: e.Community_list.communities;
+                      })
+                    l.Community_list.entries;
+              })
+            c.Config_ir.community_lists;
+      };
+      {
+        c with
+        Config_ir.community_lists =
+          List.map
+            (fun (l : Community_list.t) ->
+              { l with Community_list.entries = tail l.Community_list.entries })
+            c.Config_ir.community_lists;
+      };
+      {
+        c with
+        Config_ir.as_path_lists =
+          List.map
+            (fun (l : As_path_list.t) ->
+              {
+                l with
+                As_path_list.entries =
+                  List.map
+                    (fun (e : As_path_list.entry) -> { e with As_path_list.regex = "_65000_" })
+                    l.As_path_list.entries;
+              })
+            c.Config_ir.as_path_lists;
+      };
+    ]
+  in
+  List.iteri
+    (fun i base ->
+      let cache = Juniper.Printer.create_cache () in
+      List.iteri
+        (fun j c ->
+          List.iter
+            (fun c ->
+              if Juniper.Printer.print ~cache c <> Juniper.Printer.print c then
+                Alcotest.failf "config %d, edit %d: cached print differs" i j)
+            [ c; base ])
+        (base :: edits base))
+    bases
+
+(* Community definitions come in first-registration order: the lists cited
+   in delete actions first, then each statement's in route-map order, each
+   name once. *)
+let test_junos_community_order () =
+  let ir, diags =
+    Cisco.Parser.parse
+      (String.concat "\n"
+         [
+           "hostname d";
+           "!";
+           "ip community-list standard M permit 65000:2";
+           "!";
+           "ip community-list standard DEL permit 65000:1";
+           "!";
+           "route-map A permit 10";
+           " match community M";
+           " set community 65000:3 additive";
+           "!";
+           "route-map B permit 10";
+           " match community M";
+           " set comm-list DEL delete";
+           "!";
+           "";
+         ])
+  in
+  check int_t "parses clean" 0 (List.length diags);
+  let text = Juniper.Printer.print ir in
+  let at sub =
+    let n = String.length text and m = String.length sub in
+    let rec go i = if i + m > n then -1 else if String.sub text i m = sub then i else go (i + 1) in
+    go 0
+  in
+  let del = at "community DEL members" and m = at "community M members"
+  and set = at "community COMM-65000-3 members" in
+  check bool_t "all defined" true (del >= 0 && m >= 0 && set >= 0);
+  check bool_t "delete list, then M, then the set community" true (del < m && m < set);
+  let cache = Juniper.Printer.create_cache () in
+  check string_t "cold cache" text (Juniper.Printer.print ~cache ir);
+  check string_t "warm cache" text (Juniper.Printer.print ~cache ir)
+
 (* ------------------------------------------------------------------ *)
 (* The larger edge-router sample                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1000,6 +1163,8 @@ let () =
           Alcotest.test_case "term without action" `Quick test_junos_term_without_action;
           Alcotest.test_case "route-filter ranges" `Quick test_junos_route_filter_ranges;
           Alcotest.test_case "unbalanced braces" `Quick test_junos_unbalanced_braces;
+          Alcotest.test_case "printer cache across IR edits" `Quick test_junos_cache_edits;
+          Alcotest.test_case "community definition order" `Quick test_junos_community_order;
         ] );
       ( "edge-router",
         [

@@ -355,18 +355,24 @@ let random_faults rng ops =
 
 (* Cached rendering equals uncached rendering, and the one-pass text faults
    equal the line-list ones, on every router the modularizer plans for stars
-   of 2-16, 30 and 60 routers and on the border router in both dialects.
-   Each oracle keeps one cache across all of its fault sets, as a chat does
-   across its drafts. *)
+   of 2-16, 30 and 60 routers and on the border router in Cisco, and on the
+   Junos translation of every Cisco sample and of every router planned for
+   stars of 2-7 and 30 routers. Each oracle keeps one cache across all of
+   its fault sets, as a chat does across its drafts. *)
 let test_render_differential () =
-  let oracles =
+  let planned sizes =
     List.concat_map
       (fun routers ->
         List.map
-          (fun (t : Cosynth.Modularizer.router_task) ->
-            (Llmsim.Fault.Cisco_cfg, t.Cosynth.Modularizer.correct, []))
+          (fun (t : Cosynth.Modularizer.router_task) -> t.Cosynth.Modularizer.correct)
           (Cosynth.Modularizer.plan (Star.make ~routers)))
-      (List.init 15 (fun i -> i + 2) @ [ 30; 60 ])
+      sizes
+  in
+  let junos ir = Juniper.Translate.of_cisco_ir ir in
+  let oracles =
+    List.map
+      (fun ir -> (Llmsim.Fault.Cisco_cfg, ir, []))
+      (planned (List.init 15 (fun i -> i + 2) @ [ 30; 60 ]))
     @ [
         (Llmsim.Fault.Cisco_cfg, border_ir, []);
         ( Llmsim.Fault.Junos_cfg,
@@ -376,6 +382,12 @@ let test_render_differential () =
               (Llmsim.Fault.Named_list "our-networks");
           ] );
       ]
+    @ List.map
+        (fun ir -> (Llmsim.Fault.Junos_cfg, junos ir, []))
+        (List.map
+           (fun text -> fst (Cisco.Parser.parse text))
+           [ Cisco.Samples.minimal; Cisco.Samples.edge_router ]
+        @ planned (List.init 6 (fun i -> i + 2) @ [ 30 ]))
   in
   (* At n >= 21 the hubs also get the fault pair that the line-list code
      mis-targets, so the exception below is exercised, not just allowed. *)
@@ -398,7 +410,7 @@ let test_render_differential () =
         if List.for_all (fun f -> List.mem f ops) mis_targeted_pair then [ mis_targeted_pair ]
         else []
       in
-      let cache = Cisco.Printer.create_cache () in
+      let cache = Llmsim.Fault.create_cache dialect in
       List.iter
         (fun faults ->
           let described = String.concat ", " (List.map Llmsim.Fault.to_string faults) in

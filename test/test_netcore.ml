@@ -429,6 +429,51 @@ let test_memo_table_eviction () =
   check int_t "evicted value recomputed" 0 (get 0);
   check int_t "evicted key is a miss" (before + 1) !computed
 
+(* The byte bound [Exec.Memo] puts on its draft texts, on a table of 800
+   bytes: the summed key length never passes the cap, the oldest keys go
+   first, and a key past the cap is kept alone. *)
+let test_memo_table_weight () =
+  let module T =
+    Memo_table.Make_weighted
+      (struct
+        type t = string
+
+        let equal = String.equal
+        let hash = Hashtbl.hash
+      end)
+      (struct
+        type t = int
+
+        let max_entries = 1000
+        let max_weight = 800
+        let weight = String.length
+      end)
+  in
+  let key i len = String.make len (Char.chr (Char.code 'a' + (i mod 26))) ^ string_of_int i in
+  let live () = List.rev (T.fold (fun k _ acc -> k :: acc) []) in
+  let live_bytes () = List.fold_left (fun acc k -> acc + String.length k) 0 (live ()) in
+  let keys = List.init 8 (fun i -> key i (100 - String.length (string_of_int i))) in
+  List.iter (fun k -> ignore (T.memo k (fun () -> 0))) keys;
+  check int_t "800 bytes fit" 800 (live_bytes ());
+  check int_t "no evictions at the cap" 0 (T.stats ()).Memo_table.evictions;
+  ignore (T.memo (key 8 99) (fun () -> 0));
+  check int_t "the oldest two make an eighth free" 2 (T.stats ()).Memo_table.evictions;
+  check (Alcotest.list Alcotest.string) "survivors, oldest first"
+    (List.tl (List.tl keys) @ [ key 8 99 ]) (live ());
+  let heavy = key 9 2000 in
+  ignore (T.memo heavy (fun () -> 0));
+  check (Alcotest.list Alcotest.string) "a key past the cap is kept alone" [ heavy ] (live ());
+  ignore (T.memo (key 10 50) (fun () -> 0));
+  check (Alcotest.list Alcotest.string) "and goes at the next insert" [ key 10 50 ] (live ());
+  let rng = Random.State.make [| 17 |] in
+  for i = 11 to 400 do
+    ignore (T.memo (key i (Random.State.int rng 300)) (fun () -> i));
+    if live_bytes () > 800 then Alcotest.failf "%d live bytes after insert %d" (live_bytes ()) i
+  done;
+  T.reset ();
+  List.iter (fun k -> ignore (T.memo k (fun () -> 0))) keys;
+  check int_t "reset forgets the weight" 0 (T.stats ()).Memo_table.evictions
+
 let test_memo_table_success_only () =
   let module T =
     Memo_table.Make
@@ -593,6 +638,7 @@ let () =
       ( "memo-table",
         [
           Alcotest.test_case "evicts the oldest eighth" `Quick test_memo_table_eviction;
+          Alcotest.test_case "bounds the summed key weight" `Quick test_memo_table_weight;
           Alcotest.test_case "success-only" `Quick test_memo_table_success_only;
           Alcotest.test_case "scoped stats" `Quick test_memo_table_scope;
           Alcotest.test_case "two domains" `Quick test_memo_table_two_domains;
