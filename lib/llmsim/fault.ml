@@ -628,36 +628,53 @@ let unlines l = String.concat "\n" l
 
 (* The lines of [text] (split at '\n') with each line that holds the match
    [next pos] finds at or after [pos] kept, dropped or replaced as [edit]
-   says, joined again by '\n': what [List.filter_map] over the split lines
-   gives, from one scan and one copy. [edit] sees the line as [text]'s
-   range [start, stop), in text order. *)
-let edit_lines text ~next ~edit =
-  let n = String.length text in
-  let buf = Buffer.create (n + 64) in
-  let joined = ref false in
-  let add s a b =
-    if !joined then Buffer.add_char buf '\n';
-    Buffer.add_substring buf s a (b - a);
-    joined := true
-  in
-  (* [pos] starts a line, or is [n + 1] once the last line is done. *)
-  let rec go pos =
-    let i = if pos > n then -1 else next pos in
-    if i < 0 then (if pos <= n then add text pos n)
-    else begin
-      let start = match String.rindex_from text i '\n' with j -> j + 1 | exception Not_found -> 0 in
-      let stop = match String.index_from text i '\n' with j -> j | exception Not_found -> n in
-      (* The untouched lines before this one. *)
-      if start > pos then add text pos (start - 1);
-      (match edit start stop with
-      | `Keep -> add text start stop
-      | `Drop -> ()
-      | `Replace line -> add line 0 (String.length line));
-      go (stop + 1)
-    end
-  in
-  go 0;
-  Buffer.contents buf
+   says, joined again by '\n' and followed by [tail ()]: what
+   [List.filter_map] over the split lines gives, from one scan and one
+   copy into a string of the final length. [edit] sees the line as
+   [text]'s range [start, stop), in text order; [tail] is called after the
+   last. *)
+let edit_lines ?(tail = fun () -> "") text ~next ~edit =
+  match next 0 with
+  | -1 -> ( match tail () with "" -> text | t -> text ^ t)
+  | first ->
+      let n = String.length text in
+      (* The result's pieces as (string, offset, length), last first. *)
+      let pieces = ref [] and joined = ref false in
+      let add s a b =
+        if !joined then pieces := ("\n", 0, 1) :: !pieces;
+        pieces := (s, a, b - a) :: !pieces;
+        joined := true
+      in
+      (* [pos] starts a line, or is [n + 1] once the last line is done; [i]
+         is the next match at or after it, or -1. *)
+      let rec go pos i =
+        if i < 0 then (if pos <= n then add text pos n)
+        else begin
+          let start =
+            match String.rindex_from text i '\n' with j -> j + 1 | exception Not_found -> 0
+          in
+          let stop = match String.index_from text i '\n' with j -> j | exception Not_found -> n in
+          (* The untouched lines before this one. *)
+          if start > pos then add text pos (start - 1);
+          (match edit start stop with
+          | `Keep -> add text start stop
+          | `Drop -> ()
+          | `Replace line -> add line 0 (String.length line));
+          go (stop + 1) (if stop + 1 > n then -1 else next (stop + 1))
+        end
+      in
+      go 0 first;
+      let t = tail () in
+      let pieces = (t, 0, String.length t) :: !pieces in
+      let len = List.fold_left (fun acc (_, _, l) -> acc + l) 0 pieces in
+      let out = Bytes.create len in
+      ignore
+        (List.fold_left
+           (fun stop (s, a, l) ->
+             Bytes.blit_string s a out (stop - l) l;
+             stop - l)
+           len pieces);
+      Bytes.unsafe_to_string out
 
 let apply_missing_local_as text =
   let n = String.length text in
@@ -699,12 +716,13 @@ let apply_bad_prefix_list (correct : Config_ir.t) list_name text =
           `Replace (String.make (count start - start) ' ' ^ "prefix-list " ^ list_name ^ ";")
         end
       in
-      let body = edit_lines text ~next:(fun pos -> find_marker text pos (String.length text)) ~edit in
-      let invalid_def =
+      let invalid_def () =
         Printf.sprintf "policy-options {\n    prefix-list %s {\n        %s-32;\n    }\n}\n"
           list_name base_str
       in
-      body ^ invalid_def
+      edit_lines text
+        ~next:(fun pos -> find_marker text pos (String.length text))
+        ~edit ~tail:invalid_def
 
 let apply_cli_keywords text =
   "configure terminal\n" ^ text ^ "end\nwrite memory\n"
@@ -724,8 +742,8 @@ let apply_neighbor_outside_bgp addr text =
       `Drop
     end
   in
-  let rest = edit_lines text ~next:(fun pos -> find_needle text pos n) ~edit in
-  match !moved with None -> text | Some line -> rest ^ line ^ "\n"
+  let tail () = match !moved with None -> "" | Some line -> line ^ "\n" in
+  edit_lines text ~next:(fun pos -> find_needle text pos n) ~edit ~tail
 
 let apply_match_community_literal (correct : Config_ir.t) map_name seq text =
   (* Find the stanza header, then the first community match inside it, and
